@@ -52,10 +52,9 @@ parseOrg(const std::string &name, core::OrgKind &out)
     return true;
 }
 
-} // namespace
-
+/** Parse the flags, run one simulation and print its summary. */
 int
-main(int argc, char **argv)
+simulate(int argc, char **argv)
 {
     cpu::SystemConfig config;
     config.org.kind = core::OrgKind::Nocstar;
@@ -380,4 +379,20 @@ main(int argc, char **argv)
         system.dumpAll(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad input found past flag parsing -- a truncated or foreign
+    // checkpoint, an empty trace -- raises FatalError; report it and
+    // exit 1 instead of aborting.
+    try {
+        return simulate(argc, argv);
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
+        return 1;
+    }
 }

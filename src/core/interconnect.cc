@@ -127,8 +127,7 @@ Interconnect::send(CoreId src, CoreId dst, Cycle now, DeliverFn deliver)
     TRACE(Fabric, "post one-way ", src, " -> ", dst, " active at ",
           active);
     pending_[src].push_back(Request{src, dst, active, active, 0,
-                                    false, 0, nextSeq_++,
-                                    std::move(deliver)});
+                                    false, 0, std::move(deliver)});
     pendingBits_[src >> 6] |= std::uint64_t{1} << (src & 63);
     ++numPending_;
     scheduleArbitration(active);
@@ -146,7 +145,7 @@ Interconnect::sendRoundTrip(CoreId src, CoreId dst, Cycle now,
     TRACE(Fabric, "post round-trip ", src, " -> ", dst, " occupancy ",
           occupancy, " active at ", active);
     pending_[src].push_back(Request{src, dst, active, active,
-                                    occupancy, true, 0, nextSeq_++,
+                                    occupancy, true, 0,
                                     std::move(deliver)});
     pendingBits_[src >> 6] |= std::uint64_t{1} << (src & 63);
     ++numPending_;

@@ -38,7 +38,6 @@
 #ifndef NOCSTAR_CORE_INTERCONNECT_HH
 #define NOCSTAR_CORE_INTERCONNECT_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -242,12 +241,16 @@ class Interconnect : public stats::StatGroup
         return grantWait_ ? &(*grantWait_)[src] : nullptr;
     }
 
+    /** Slots a source's request ring allocates on its first send(). */
+    static constexpr std::size_t ringInitialCapacity = 4;
+
     /**
      * Resident bytes of the arbitration state (link holds, request
-     * FIFOs, occupancy bitmaps, fault vectors), for the scaling
+     * rings, occupancy bitmaps, fault vectors), for the scaling
      * bench's per-component memory audit. Subclasses add their path
-     * tables. Queued requests are counted at their live size -- the
-     * audit reads at quiescent points, where the FIFOs are empty.
+     * tables. Request rings count at their capacity, which only grows,
+     * so the figure is the same at every quiescent point after the
+     * deepest queue a run has seen.
      */
     virtual std::size_t
     memoryBytes() const
@@ -259,9 +262,9 @@ class Interconnect : public stats::StatGroup
             linkFaultyUntil_.capacity() * sizeof(Cycle) +
             linkDeadPermanent_.capacity() * sizeof(std::uint8_t) +
             meshLinkFree_.capacity() * sizeof(Cycle) +
-            pending_.size() * sizeof(std::deque<Request>);
-        for (const std::deque<Request> &fifo : pending_)
-            bytes += fifo.size() * sizeof(Request);
+            pending_.capacity() * sizeof(RequestRing);
+        for (const RequestRing &ring : pending_)
+            bytes += ring.capacity() * sizeof(Request);
         if (grantWait_)
             bytes += grantWait_->size() * sizeof(sim::LatencyHistogram);
         return bytes;
@@ -277,8 +280,57 @@ class Interconnect : public stats::StatGroup
         Cycle holdExtra; ///< extra link-hold cycles (round-trip mode)
         bool roundTrip;
         unsigned retries;
-        std::uint64_t seq; ///< FIFO tiebreak among same-source requests
         DeliverFn deliver;
+    };
+
+    /**
+     * One source's FIFO of waiting requests: a power-of-two ring that
+     * allocates on first use, grows by doubling and never shrinks, so
+     * a steady-state send() or grant allocates nothing.
+     */
+    class RequestRing
+    {
+      public:
+        bool empty() const { return count_ == 0; }
+        std::size_t capacity() const { return slots_.size(); }
+        Request &front() { return slots_[head_]; }
+
+        void
+        push_back(Request &&req)
+        {
+            if (count_ == slots_.size())
+                grow();
+            slots_[(head_ + count_) & (slots_.size() - 1)] =
+                std::move(req);
+            ++count_;
+        }
+
+        /** Drop the head request (its closure, if still held, too). */
+        void
+        pop_front()
+        {
+            slots_[head_].deliver = nullptr;
+            head_ = (head_ + 1) & (slots_.size() - 1);
+            --count_;
+        }
+
+      private:
+        /** Double the slots, unwrapping the queue to start at 0. */
+        void
+        grow()
+        {
+            std::vector<Request> bigger(
+                slots_.empty() ? ringInitialCapacity : 2 * slots_.size());
+            for (std::size_t i = 0; i < count_; ++i)
+                bigger[i] = std::move(
+                    slots_[(head_ + i) & (slots_.size() - 1)]);
+            slots_.swap(bigger);
+            head_ = 0;
+        }
+
+        std::vector<Request> slots_;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
     };
 
     /**
@@ -323,7 +375,7 @@ class Interconnect : public stats::StatGroup
     /** Scratch list of arbitrating sources, reused across rounds. */
     std::vector<CoreId> contenders_;
     /** Per-source FIFO of waiting requests (one setup port each). */
-    std::vector<std::deque<Request>> pending_;
+    std::vector<RequestRing> pending_;
     /**
      * One bit per source tile, set while its FIFO is non-empty, so
      * arbitration rounds visit only tiles with work instead of
@@ -332,7 +384,6 @@ class Interconnect : public stats::StatGroup
     std::vector<std::uint64_t> pendingBits_;
     std::size_t numPending_ = 0;
     Cycle arbitrationScheduledFor_ = invalidCycle;
-    std::uint64_t nextSeq_ = 0;
     LambdaEvent arbitrationEvent_;
 
     // Fault machinery; allocated only when config_.faults is a

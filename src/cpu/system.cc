@@ -455,10 +455,7 @@ System::step(std::size_t thread_index)
 
         ++l1Accesses_;
         energy_.addL1Lookup();
-        const tlb::TlbEntry *l1_hit =
-            l1s_[thread.core]->lookup(thread.ctx, vpn, t.size);
-
-        if (!l1_hit) {
+        if (!l1s_[thread.core]->lookupHit(thread.ctx, vpn, t.size)) {
             ++l1Misses_;
             TRACE(System, "thread ", thread_index, " core ", thread.core,
                   " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
@@ -541,9 +538,8 @@ System::shardStep(std::size_t thread_index)
         }
 
         ++lane.l1Accesses;
-        const tlb::TlbEntry *l1_hit = l1s_[thread.core]->lookup(
-            thread.ctx, pageNumber(vaddr, t->size), t->size);
-        if (!l1_hit) {
+        if (!l1s_[thread.core]->lookupHit(
+                thread.ctx, pageNumber(vaddr, t->size), t->size)) {
             ++lane.l1Misses;
             deferred_->post(
                 shard, DeferredMiss{
@@ -587,8 +583,9 @@ System::replayMiss(const DeferredMiss &miss, const core::ProbeResult *probe)
         mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
         ++l1Accesses_;
         energy_.addL1Lookup();
-        if (l1s_[thread.core]->lookup(thread.ctx,
-                                      pageNumber(vaddr, t.size), t.size))
+        if (l1s_[thread.core]->lookupHit(thread.ctx,
+                                         pageNumber(vaddr, t.size),
+                                         t.size))
             panic("deferred first-touch access hit the L1 TLB");
         ++l1Misses_;
     }

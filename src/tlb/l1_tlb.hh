@@ -51,6 +51,13 @@ class L1TlbGroup : public stats::StatGroup
         return arrayFor(size).lookup(ctx, vpn, size);
     }
 
+    /** lookup() reporting only hit or miss (no entry is rebuilt). */
+    bool
+    lookupHit(ContextId ctx, PageNum vpn, PageSize size)
+    {
+        return arrayFor(size).lookupHit(ctx, vpn, size);
+    }
+
     /** Insert a refill coming back from the L2 / page walker. */
     void
     insert(const TlbEntry &entry)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative TLB implementation (structure-of-arrays probes).
+ * Set-associative TLB implementation (packed per-set blocks).
  */
 
 #include "tlb/set_assoc_tlb.hh"
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 #include "sim/logging.hh"
 
@@ -25,6 +26,19 @@
 
 namespace nocstar::tlb
 {
+
+namespace
+{
+
+constexpr std::align_val_t kSetAlign{64};
+
+} // namespace
+
+void
+SetAssocTlb::AlignedDelete::operator()(std::uint64_t *p) const
+{
+    ::operator delete[](p, kSetAlign);
+}
 
 SetAssocTlb::SetAssocTlb(const std::string &name, std::uint32_t entries,
                          std::uint32_t assoc, stats::StatGroup *parent)
@@ -55,11 +69,17 @@ SetAssocTlb::SetAssocTlb(const std::string &name, std::uint32_t entries,
         setMask_ = numSets_ - 1;
     else
         setFastModM_ = ~static_cast<unsigned __int128>(0) / numSets_ + 1;
-    // 3 trailing pad slots keep the vector probe's 4-lane loads inside
-    // the allocation for every way of the last set.
-    keys_.assign(static_cast<std::size_t>(entries) + 3, invalidKey);
-    lastUse_.assign(entries, 0);
-    payload_.resize(entries);
+    // Round each block up to whole 64-byte lines (8 words); that also
+    // keeps the vector probe's 4-lane loads inside the block.
+    stride_ = (3 * assoc + 7) & ~7u;
+    std::size_t words = static_cast<std::size_t>(numSets_) * stride_;
+    store_.reset(static_cast<std::uint64_t *>(
+        ::operator new[](words * sizeof(std::uint64_t), kSetAlign)));
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *b = block(set);
+        std::fill(b, b + assoc_, invalidKey);
+        std::fill(b + assoc_, b + stride_, 0);
+    }
 }
 
 std::uint32_t
@@ -92,16 +112,14 @@ SetAssocTlb::setIndex(PageNum vpn, PageSize size) const
 }
 
 int
-SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
+SetAssocTlb::findWay(const std::uint64_t *keys, std::uint64_t key) const
 {
-    const std::uint64_t *base =
-        keys_.data() + static_cast<std::size_t>(set) * assoc_;
 #if NOCSTAR_TLB_SIMD
     typedef std::uint64_t KeyVec __attribute__((vector_size(32)));
     const KeyVec probe = {key, key, key, key};
     for (std::uint32_t w = 0; w < assoc_; w += 4) {
         KeyVec lanes;
-        std::memcpy(&lanes, base + w, sizeof(lanes));
+        std::memcpy(&lanes, keys + w, sizeof(lanes));
         auto eq = lanes == probe; // matching lanes read all-ones
         auto mask = static_cast<unsigned>(
             (eq[0] & 1) | (eq[1] & 2) | (eq[2] & 4) | (eq[3] & 8));
@@ -113,34 +131,91 @@ SetAssocTlb::findWay(std::uint32_t set, std::uint64_t key) const
     return -1;
 #else
     for (std::uint32_t way = 0; way < assoc_; ++way) {
-        if (base[way] == key)
+        if (keys[way] == key)
             return static_cast<int>(way);
     }
     return -1;
 #endif
 }
 
-int
-SetAssocTlb::findIndex(ContextId ctx, PageNum vpn, PageSize size) const
+SetAssocTlb::Slot
+SetAssocTlb::find(ContextId ctx, PageNum vpn, PageSize size) const
 {
     if (outOfTagRange(ctx, vpn))
-        return -1; // unpackable, so insert() can never have stored it
-    std::uint32_t set = setIndex(vpn, size);
-    int way = findWay(set, packKey(ctx, vpn, size));
+        return {}; // unpackable, so insert() can never have stored it
+    std::uint64_t *b = block(setIndex(vpn, size));
+    int way = findWay(b, packKey(ctx, vpn, size));
     if (way < 0)
-        return -1;
-    return static_cast<int>(set * assoc_) + way;
+        return {};
+    return {b, static_cast<std::uint32_t>(way)};
+}
+
+SetAssocTlb::Slot
+SetAssocTlb::findAnySize(ContextId ctx, Addr vaddr) const
+{
+    // One pipelined array read probes all granularities; callers count
+    // one access. Probe in increasing page-size order.
+    static constexpr PageSize sizes[] = {PageSize::FourKB, PageSize::TwoMB,
+                                         PageSize::OneGB};
+    for (PageSize size : sizes) {
+        if (Slot slot = find(ctx, pageNumber(vaddr, size), size))
+            return slot;
+    }
+    return {};
+}
+
+SetAssocTlb::Slot
+SetAssocTlb::demand(Slot slot, bool update_lru)
+{
+    if (!slot) {
+        ++misses;
+        return slot;
+    }
+    ++hits;
+    std::uint64_t &word = ppns(slot.block)[slot.way];
+    if (word & prefetchedBit) {
+        ++prefetchHits;
+        word &= ~prefetchedBit;
+    }
+    if (update_lru)
+        stamps(slot.block)[slot.way] = ++lruClock_;
+    return slot;
+}
+
+SetAssocTlb::Slot
+SetAssocTlb::warm(Slot slot)
+{
+    if (slot) {
+        ppns(slot.block)[slot.way] &= ~prefetchedBit;
+        stamps(slot.block)[slot.way] = ++lruClock_;
+    }
+    return slot;
+}
+
+const TlbEntry *
+SetAssocTlb::entryAt(Slot slot)
+{
+    if (!slot)
+        return nullptr;
+    std::uint64_t key = slot.block[slot.way];
+    std::uint64_t word = ppns(slot.block)[slot.way];
+    scratch_.valid = true;
+    scratch_.vpn = key >> 18;
+    scratch_.ctx = static_cast<ContextId>((key >> 2) & maxCtx);
+    scratch_.size = static_cast<PageSize>(key & 3);
+    scratch_.ppn = word & ~prefetchedBit;
+    scratch_.prefetched = (word & prefetchedBit) != 0;
+    return &scratch_;
 }
 
 std::uint32_t
-SetAssocTlb::victimWay(std::uint32_t set) const
+SetAssocTlb::victimWay(const std::uint64_t *b) const
 {
     // Branchless strict min-scan: empty ways hold stamp 0 and valid
     // ways hold distinct stamps >= 1, so the scan lands on the first
     // empty way when one exists and on the unique LRU way otherwise --
     // the same victim the old first-invalid-else-LRU loop chose.
-    const std::uint64_t *use =
-        lastUse_.data() + static_cast<std::size_t>(set) * assoc_;
+    const std::uint64_t *use = b + assoc_;
     std::uint32_t victim = 0;
     std::uint64_t best = use[0];
     for (std::uint32_t way = 1; way < assoc_; ++way) {
@@ -155,45 +230,20 @@ const TlbEntry *
 SetAssocTlb::lookup(ContextId ctx, PageNum vpn, PageSize size,
                     bool update_lru)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0) {
-        ++misses;
-        return nullptr;
-    }
-    ++hits;
-    TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-    if (entry.prefetched) {
-        ++prefetchHits;
-        entry.prefetched = false;
-    }
-    if (update_lru)
-        lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-    return &entry;
+    return entryAt(demand(find(ctx, vpn, size), update_lru));
+}
+
+bool
+SetAssocTlb::lookupHit(ContextId ctx, PageNum vpn, PageSize size,
+                       bool update_lru)
+{
+    return static_cast<bool>(demand(find(ctx, vpn, size), update_lru));
 }
 
 const TlbEntry *
 SetAssocTlb::lookupAnySize(ContextId ctx, Addr vaddr, bool update_lru)
 {
-    // One pipelined array read probes all granularities; only count one
-    // access. Probe in increasing page-size order.
-    static constexpr PageSize sizes[] = {PageSize::FourKB, PageSize::TwoMB,
-                                         PageSize::OneGB};
-    for (PageSize size : sizes) {
-        int index = findIndex(ctx, pageNumber(vaddr, size), size);
-        if (index >= 0) {
-            ++hits;
-            TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-            if (entry.prefetched) {
-                ++prefetchHits;
-                entry.prefetched = false;
-            }
-            if (update_lru)
-                lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-            return &entry;
-        }
-    }
-    ++misses;
-    return nullptr;
+    return entryAt(demand(findAnySize(ctx, vaddr), update_lru));
 }
 
 std::optional<TlbEntry>
@@ -205,75 +255,54 @@ SetAssocTlb::insert(const TlbEntry &entry)
         fatal("TLB entry (ctx ", entry.ctx, ", vpn ", entry.vpn,
               ") exceeds the packed tag's field widths (ctx <= ",
               maxCtx, ", vpn <= ", maxVpn, ")");
+    if (entry.ppn > maxPpn)
+        fatal("TLB entry ppn ", entry.ppn, " exceeds the ppn word's ",
+              "field width (ppn <= ", maxPpn, ")");
     ++insertions;
 
-    std::uint32_t set = setIndex(entry.vpn, entry.size);
+    std::uint64_t *b = block(setIndex(entry.vpn, entry.size));
     std::uint64_t key = packKey(entry.ctx, entry.vpn, entry.size);
 
-    // Refresh in place if already present (e.g. racing fills).
-    if (int way = findWay(set, key); way >= 0) {
-        std::size_t index = static_cast<std::size_t>(set) * assoc_ +
-                            static_cast<std::uint32_t>(way);
-        TlbEntry &existing = payload_[index];
-        bool was_prefetched = existing.prefetched && entry.prefetched;
-        existing = entry;
-        existing.prefetched = was_prefetched;
-        existing.lastUse = ++lruClock_;
-        lastUse_[index] = existing.lastUse;
+    // Refresh in place if already present (e.g. racing fills): the
+    // prefetched flag survives only if both copies carry it.
+    if (int found = findWay(b, key); found >= 0) {
+        auto way = static_cast<std::uint32_t>(found);
+        std::uint64_t &word = ppns(b)[way];
+        word = entry.ppn | (word & (entry.prefetched ? prefetchedBit : 0));
+        stamps(b)[way] = ++lruClock_;
         return std::nullopt;
     }
 
-    std::uint32_t way = victimWay(set);
-    std::size_t index = static_cast<std::size_t>(set) * assoc_ + way;
-
+    std::uint32_t way = victimWay(b);
     std::optional<TlbEntry> evicted;
-    if (keys_[index] != invalidKey) {
+    if (b[way] != invalidKey) {
         ++evictions;
-        evicted = payload_[index];
+        evicted = *entryAt({b, way});
     } else {
         ++validCount_;
     }
-    keys_[index] = key;
-    payload_[index] = entry;
-    payload_[index].lastUse = ++lruClock_;
-    lastUse_[index] = payload_[index].lastUse;
+    b[way] = key;
+    stamps(b)[way] = ++lruClock_;
+    ppns(b)[way] = entry.ppn | (entry.prefetched ? prefetchedBit : 0);
     return evicted;
 }
 
 bool
 SetAssocTlb::present(ContextId ctx, PageNum vpn, PageSize size) const
 {
-    return findIndex(ctx, vpn, size) >= 0;
+    return static_cast<bool>(find(ctx, vpn, size));
 }
 
 const TlbEntry *
 SetAssocTlb::touch(ContextId ctx, PageNum vpn, PageSize size)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0)
-        return nullptr;
-    TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-    entry.prefetched = false;
-    lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-    return &entry;
+    return entryAt(warm(find(ctx, vpn, size)));
 }
 
 const TlbEntry *
 SetAssocTlb::touchAnySize(ContextId ctx, Addr vaddr)
 {
-    static constexpr PageSize sizes[] = {PageSize::FourKB,
-                                         PageSize::TwoMB,
-                                         PageSize::OneGB};
-    for (PageSize size : sizes) {
-        int index = findIndex(ctx, pageNumber(vaddr, size), size);
-        if (index >= 0) {
-            TlbEntry &entry = payload_[static_cast<std::size_t>(index)];
-            entry.prefetched = false;
-            lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
-            return &entry;
-        }
-    }
-    return nullptr;
+    return entryAt(warm(findAnySize(ctx, vaddr)));
 }
 
 void
@@ -283,17 +312,13 @@ SetAssocTlb::saveState(sim::CkptWriter &w) const
     w.u32(assoc_);
     w.u64(lruClock_);
     w.u64(validCount_);
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        w.u64(keys_[i]);
-        w.u64(lastUse_[i]);
-        const TlbEntry &e = payload_[i];
-        w.u8(e.valid ? 1 : 0);
-        w.u64(e.vpn);
-        w.u64(e.ppn);
-        w.u64(e.ctx);
-        w.u8(static_cast<std::uint8_t>(e.size));
-        w.u64(e.lastUse);
-        w.u8(e.prefetched ? 1 : 0);
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *b = block(set);
+        for (std::uint32_t way = 0; way < assoc_; ++way) {
+            w.u64(b[way]);
+            w.u64(stamps(b)[way]);
+            w.u64(ppns(b)[way]);
+        }
     }
 }
 
@@ -308,38 +333,30 @@ SetAssocTlb::restoreState(sim::CkptReader &r)
               assoc_);
     lruClock_ = r.u64();
     validCount_ = r.u64();
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        keys_[i] = r.u64();
-        lastUse_[i] = r.u64();
-        TlbEntry &e = payload_[i];
-        e.valid = r.u8() != 0;
-        e.vpn = r.u64();
-        e.ppn = r.u64();
-        e.ctx = static_cast<ContextId>(r.u64());
-        e.size = static_cast<PageSize>(r.u8());
-        e.lastUse = r.u64();
-        e.prefetched = r.u8() != 0;
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *b = block(set);
+        for (std::uint32_t way = 0; way < assoc_; ++way) {
+            b[way] = r.u64();
+            stamps(b)[way] = r.u64();
+            ppns(b)[way] = r.u64();
+        }
     }
 }
 
 std::size_t
 SetAssocTlb::memoryBytes() const
 {
-    return keys_.capacity() * sizeof(std::uint64_t) +
-           lastUse_.capacity() * sizeof(std::uint64_t) +
-           payload_.capacity() * sizeof(TlbEntry);
+    return static_cast<std::size_t>(numSets_) * stride_ *
+           sizeof(std::uint64_t);
 }
 
 bool
 SetAssocTlb::invalidate(ContextId ctx, PageNum vpn, PageSize size)
 {
-    int index = findIndex(ctx, vpn, size);
-    if (index < 0)
+    Slot slot = find(ctx, vpn, size);
+    if (!slot)
         return false;
-    auto i = static_cast<std::size_t>(index);
-    keys_[i] = invalidKey;
-    lastUse_[i] = 0;
-    payload_[i].valid = false;
+    clearWay(slot.block, slot.way);
     --validCount_;
     ++invalidations;
     return true;
@@ -352,13 +369,14 @@ SetAssocTlb::invalidateContext(ContextId ctx)
         return 0; // empty array / a context no tag can encode
     std::uint64_t count = 0;
     std::uint64_t ctx_bits = static_cast<std::uint64_t>(ctx) << 2;
-    for (std::size_t i = 0; i < numEntries_; ++i) {
-        if (keys_[i] != invalidKey &&
-            (keys_[i] & (std::uint64_t{maxCtx} << 2)) == ctx_bits) {
-            keys_[i] = invalidKey;
-            lastUse_[i] = 0;
-            payload_[i].valid = false;
-            ++count;
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *b = block(set);
+        for (std::uint32_t way = 0; way < assoc_; ++way) {
+            if (b[way] != invalidKey &&
+                (b[way] & (std::uint64_t{maxCtx} << 2)) == ctx_bits) {
+                clearWay(b, way);
+                ++count;
+            }
         }
     }
     validCount_ -= count;
@@ -372,10 +390,11 @@ SetAssocTlb::invalidateAll()
     if (validCount_ == 0)
         return 0;
     std::uint64_t count = validCount_;
-    std::fill(keys_.begin(), keys_.end(), invalidKey);
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
-    for (TlbEntry &entry : payload_)
-        entry.valid = false;
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
+        std::uint64_t *b = block(set);
+        std::fill(b, b + assoc_, invalidKey);
+        std::fill(stamps(b), stamps(b) + assoc_, 0);
+    }
     validCount_ = 0;
     invalidations += static_cast<double>(count);
     return count;

@@ -4,23 +4,25 @@
  * modulo-indexing on the low-order virtual page number bits (paper
  * §III-E), supporting mixed page sizes in one array via per-size probes.
  *
- * Storage is structure-of-arrays: tags live in a packed 64-bit key
- * array ((vpn, ctx, size) folded into one word, all-ones = invalid)
- * compared across all ways with portable SIMD, recency in a parallel
- * lastUse array scanned branchlessly for victims, and the full
- * TlbEntry payload in a third parallel array touched only on hits.
- * A set's four tags span one 32-byte vector load instead of four
- * 40-byte struct probes, which is where most of the lookup time of
- * the scalar array-of-structs layout went.
+ * Storage is one packed block per set, 64-byte aligned:
+ * [keys[assoc] | LRU stamps[assoc] | ppn words[assoc]]. A key folds
+ * (vpn, ctx, size) into one 64-bit word (all-ones = invalid), compared
+ * across all ways with portable SIMD; the stamps are scanned
+ * branchlessly for victims; a ppn word holds the physical page number
+ * with the prefetched flag in its top bit. Nothing else is stored: a
+ * hit rebuilds the returned TlbEntry from the key and the ppn word. A
+ * 4-way set is two cache lines (keys and stamps share the first), an
+ * 8-way set three, so a hit touches at most three lines and a miss
+ * one per probed page size.
  */
 
 #ifndef NOCSTAR_TLB_SET_ASSOC_TLB_HH
 #define NOCSTAR_TLB_SET_ASSOC_TLB_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/stats.hh"
@@ -33,8 +35,12 @@ namespace nocstar::tlb
  * Set-associative translation array.
  *
  * The array is size-agnostic: lookups and inserts name an explicit
- * PageSize, and a dual-size lookup helper probes 4 KB then 2 MB the way
- * a dual-granularity L2 TLB does.
+ * PageSize, and lookupAnySize() probes 4 KB, then 2 MB, then 1 GB the
+ * way a mixed-granularity L2 TLB does.
+ *
+ * Entry pointers returned by the lookup and touch calls point at a
+ * per-array scratch entry rebuilt on every hit: they stay valid only
+ * until the next call on the same array, so callers copy the entry.
  */
 class SetAssocTlb : public stats::StatGroup
 {
@@ -56,6 +62,14 @@ class SetAssocTlb : public stats::StatGroup
      */
     const TlbEntry *lookup(ContextId ctx, PageNum vpn, PageSize size,
                            bool update_lru = true);
+
+    /**
+     * lookup() for callers that only need the outcome: identical
+     * counting, recency and prefetched-flag effects, but no entry is
+     * rebuilt (the demand L1 probe's hot path).
+     */
+    bool lookupHit(ContextId ctx, PageNum vpn, PageSize size,
+                   bool update_lru = true);
 
     /**
      * Probe for @p vaddr trying 4 KB then 2 MB then 1 GB granularity.
@@ -89,16 +103,18 @@ class SetAssocTlb : public stats::StatGroup
     const TlbEntry *touchAnySize(ContextId ctx, Addr vaddr);
 
     /**
-     * Serialize the mutable array state (tags, recency, payloads,
-     * LRU clock) to @p w. Geometry is written first and checked on
-     * restore, so a checkpoint never lands in a mismatched array.
+     * Serialize the mutable array state (key, stamp and ppn word of
+     * every way, the LRU clock) to @p w. Geometry is written first and
+     * checked on restore, so a checkpoint never lands in a mismatched
+     * array.
      */
     void saveState(sim::CkptWriter &w) const;
 
     /** Restore state captured by saveState(). */
     void restoreState(sim::CkptReader &r);
 
-    /** Resident bytes of the SoA storage (memory audit). */
+    /** Resident bytes of the packed set store, alignment pad included
+     * (memory audit). */
     std::size_t memoryBytes() const;
 
     /** Invalidate one translation. @return true if it was present. */
@@ -121,6 +137,8 @@ class SetAssocTlb : public stats::StatGroup
     static constexpr PageNum maxVpn = (PageNum{1} << 46) - 1;
     /** Largest context id a packed tag can hold (16 tag bits). */
     static constexpr ContextId maxCtx = (ContextId{1} << 16) - 1;
+    /** Largest PPN a ppn word can hold (its top bit is the flag). */
+    static constexpr PageNum maxPpn = (PageNum{1} << 63) - 1;
 
     // Aggregate statistics (public so organizations can derive rates).
     stats::Scalar hits;
@@ -147,6 +165,8 @@ class SetAssocTlb : public stats::StatGroup
      * because its size field reads 3 and PageSize stops at 2.
      */
     static constexpr std::uint64_t invalidKey = ~std::uint64_t{0};
+    /** Prefetched flag, the top bit of a ppn word. */
+    static constexpr std::uint64_t prefetchedBit = std::uint64_t{1} << 63;
 
     static std::uint64_t
     packKey(ContextId ctx, PageNum vpn, PageSize size)
@@ -163,21 +183,72 @@ class SetAssocTlb : public stats::StatGroup
         return vpn > maxVpn || ctx > maxCtx;
     }
 
+    /** One way located by a probe; block is null on a miss. */
+    struct Slot
+    {
+        std::uint64_t *block = nullptr;
+        std::uint32_t way = 0;
+
+        explicit operator bool() const { return block != nullptr; }
+    };
+
+    /** Frees the 64-byte-aligned set store. */
+    struct AlignedDelete
+    {
+        void operator()(std::uint64_t *p) const;
+    };
+
     /** Set index for (vpn, size): modulo indexing on low VPN bits. */
     std::uint32_t setIndex(PageNum vpn, PageSize size) const;
 
-    /** Way holding @p key within @p set, or -1. */
-    int findWay(std::uint32_t set, std::uint64_t key) const;
+    /** First word of @p set's block (its keys). */
+    std::uint64_t *
+    block(std::uint32_t set) const
+    {
+        return store_.get() + static_cast<std::size_t>(set) * stride_;
+    }
 
-    /** Index into the parallel arrays of (set, way), or -1. */
-    int findIndex(ContextId ctx, PageNum vpn, PageSize size) const;
+    std::uint64_t *stamps(std::uint64_t *b) const { return b + assoc_; }
+    std::uint64_t *ppns(std::uint64_t *b) const { return b + 2 * assoc_; }
+
+    /** Way holding @p key within the set at @p keys, or -1. */
+    int findWay(const std::uint64_t *keys, std::uint64_t key) const;
+
+    /** The way holding (ctx, vpn, size), if any. */
+    Slot find(ContextId ctx, PageNum vpn, PageSize size) const;
+
+    /** The way translating @p vaddr at the smallest page size held. */
+    Slot findAnySize(ContextId ctx, Addr vaddr) const;
+
+    /**
+     * Count a demand probe's hit or miss and apply a hit's side
+     * effects (prefetched flag, recency). @return @p slot.
+     */
+    Slot demand(Slot slot, bool update_lru);
+
+    /** Functional-warming probe: a hit's recency and prefetched flag
+     * only, no counting. @return @p slot. */
+    Slot warm(Slot slot);
+
+    /** Rebuild @p slot's entry into scratch_; nullptr on a miss. */
+    const TlbEntry *entryAt(Slot slot);
 
     /** The set's replacement victim: first empty way, else true LRU. */
-    std::uint32_t victimWay(std::uint32_t set) const;
+    std::uint32_t victimWay(const std::uint64_t *b) const;
+
+    /** Empty way @p way of the block at @p b. */
+    void
+    clearWay(std::uint64_t *b, std::uint32_t way)
+    {
+        b[way] = invalidKey;
+        stamps(b)[way] = 0;
+    }
 
     std::uint32_t numEntries_;
     std::uint32_t assoc_;
     std::uint32_t numSets_;
+    /** Words per set block: 3 * assoc_ rounded up to a cache line. */
+    std::uint32_t stride_;
     /** numSets_ - 1 when the set count is a power of two, else 0. */
     std::uint64_t setMask_ = 0;
     /**
@@ -190,18 +261,16 @@ class SetAssocTlb : public stats::StatGroup
     std::uint64_t lruClock_ = 0;
     std::uint64_t validCount_ = 0;
     /**
-     * Packed tags, padded with 3 trailing invalid slots so the last
-     * set's 4-lane vector load never reads past the allocation.
-     */
-    std::vector<std::uint64_t> keys_;
-    /**
-     * LRU stamps; empty ways hold 0 and valid ways hold >= 1, so one
+     * The per-set blocks, numSets_ * stride_ words. Empty ways hold
+     * key invalidKey and stamp 0; valid ways hold stamps >= 1, so one
      * strict min-scan picks the first empty way when any exists and
-     * the unique least-recently-used way otherwise.
+     * the unique least-recently-used way otherwise. A block is never
+     * shorter than 8 words, so the vector probe's 4-lane loads stay
+     * inside it for every way.
      */
-    std::vector<std::uint64_t> lastUse_;
-    /** Full entries, indexed like keys_; read only on hits. */
-    std::vector<TlbEntry> payload_;
+    std::unique_ptr<std::uint64_t[], AlignedDelete> store_;
+    /** Entry rebuilt by the last hit (see the class comment). */
+    TlbEntry scratch_;
 };
 
 } // namespace nocstar::tlb

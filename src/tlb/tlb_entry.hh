@@ -27,8 +27,6 @@ struct TlbEntry
     /** Address-space identifier of the owning process. */
     ContextId ctx = 0;
     PageSize size = PageSize::FourKB;
-    /** LRU timestamp maintained by the containing array. */
-    std::uint64_t lastUse = 0;
     /** True if brought in by the prefetcher and never yet demanded. */
     bool prefetched = false;
 

@@ -150,6 +150,51 @@ TEST(InterconnectSeam, OnDemandPathsMatchTopologyPastTableCap)
     EXPECT_NE(delivered, invalidCycle);
 }
 
+TEST(InterconnectSeam, RequestRingGrowsAcrossWrapInFifoOrder)
+{
+    // One source's queue is a ring that grows by doubling. Advance its
+    // head off slot 0 first, so the batch below wraps around the ring
+    // and grows while the head is not 0.
+    InterconnectHarness h(16);
+    const CoreId src = 0;
+    const CoreId dst = 15;
+    const Cycle trav = h.fabric.traversal(src, dst);
+    std::vector<std::pair<unsigned, Cycle>> log;
+    auto batch = [&](Cycle at, unsigned first, unsigned count) {
+        for (unsigned i = 0; i < count; ++i)
+            h.fabric.send(src, dst, at,
+                          [&log, id = first + i](Cycle arrival) {
+                              log.emplace_back(id, arrival);
+                          });
+        h.queue.run();
+    };
+    // Uncontended FIFO: the single setup port grants message k of a
+    // batch posted at cycle t in cycle t + k.
+    auto expectFifo = [&](Cycle at, unsigned first, unsigned count) {
+        ASSERT_EQ(log.size(), first + count);
+        for (unsigned k = 0; k < count; ++k) {
+            EXPECT_EQ(log[first + k].first, first + k);
+            EXPECT_EQ(log[first + k].second, at + k + trav)
+                << "message " << first + k;
+        }
+    };
+
+    batch(10, 0, 2);
+    expectFifo(10, 0, 2);
+
+    const auto deep = static_cast<unsigned>(
+        3 * Interconnect::ringInitialCapacity + 1);
+    batch(100, 2, deep);
+    expectFifo(100, 2, deep);
+    const std::size_t bytes = h.fabric.memoryBytes();
+
+    // An equal second batch reuses the grown ring: no new memory.
+    batch(200, 2 + deep, deep);
+    expectFifo(200, 2 + deep, deep);
+    EXPECT_EQ(h.fabric.memoryBytes(), bytes);
+    EXPECT_EQ(h.fabric.setupFailures.value(), 0.0);
+}
+
 TEST(InterconnectSeam, GrantWaitHistogramsAreOptIn)
 {
     InterconnectHarness off(16);

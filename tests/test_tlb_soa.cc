@@ -1,21 +1,25 @@
 /**
  * @file
- * Differential test for the structure-of-arrays SetAssocTlb: drives
- * identical randomized lookup/insert/evict/invalidate sequences
- * through the pre-SoA array-of-structs implementation (kept here as
- * the executable reference) and the production array, and demands
+ * Differential test for the packed SetAssocTlb: drives identical
+ * randomized lookup/insert/evict/invalidate sequences through the
+ * original array-of-structs implementation (kept here as the
+ * executable reference) and the production array, and demands
  * byte-for-byte agreement on every observable: hit/miss outcomes,
  * returned translations, evicted entries, invalidation counts,
- * occupancy and all statistics.
+ * occupancy and all statistics -- also across a checkpoint round trip
+ * in the middle of the sequence.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "sim/checkpoint.hh"
 #include "sim/random.hh"
 #include "tlb/set_assoc_tlb.hh"
 
@@ -26,10 +30,12 @@ namespace
 {
 
 /**
- * The old array-of-structs SetAssocTlb, verbatim minus the stats
- * plumbing (plain counters instead): scalar per-way tag probes,
+ * The old array-of-structs SetAssocTlb, minus the stats plumbing
+ * (plain counters instead): scalar per-way tag probes,
  * first-invalid-else-LRU victim selection, full-array invalidation
- * scans. This is the semantic spec the SoA rewrite must match.
+ * scans. TlbEntry carries no recency, so the reference keeps its own
+ * LRU stamps beside its entries. This is the semantic spec the packed
+ * array must match.
  */
 class ReferenceTlb
 {
@@ -42,6 +48,7 @@ class ReferenceTlb
         assoc_ = assoc;
         numSets_ = entries / assoc;
         entries_.resize(entries);
+        lastUse_.resize(entries, 0);
     }
 
     std::uint32_t
@@ -55,36 +62,29 @@ class ReferenceTlb
         return static_cast<std::uint32_t>(x % numSets_);
     }
 
-    TlbEntry *
-    findEntry(ContextId ctx, PageNum vpn, PageSize size)
+    /** Index of the entry translating (ctx, vpn, size), or -1. */
+    int
+    findIndex(ContextId ctx, PageNum vpn, PageSize size) const
     {
-        std::uint32_t set = setIndex(vpn, size);
-        TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
+        std::size_t base =
+            static_cast<std::size_t>(setIndex(vpn, size)) * assoc_;
         for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (base[way].matches(ctx, vpn, size))
-                return &base[way];
+            if (entries_[base + way].matches(ctx, vpn, size))
+                return static_cast<int>(base + way);
         }
-        return nullptr;
+        return -1;
     }
 
     const TlbEntry *
     lookup(ContextId ctx, PageNum vpn, PageSize size,
            bool update_lru = true)
     {
-        TlbEntry *entry = findEntry(ctx, vpn, size);
-        if (!entry) {
+        int index = findIndex(ctx, vpn, size);
+        if (index < 0) {
             ++misses;
             return nullptr;
         }
-        ++hits;
-        if (entry->prefetched) {
-            ++prefetchHits;
-            entry->prefetched = false;
-        }
-        if (update_lru)
-            entry->lastUse = ++lruClock_;
-        return entry;
+        return demandHit(static_cast<std::size_t>(index), update_lru);
     }
 
     const TlbEntry *
@@ -93,18 +93,10 @@ class ReferenceTlb
         static constexpr PageSize sizes[] = {
             PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB};
         for (PageSize size : sizes) {
-            TlbEntry *entry =
-                findEntry(ctx, pageNumber(vaddr, size), size);
-            if (entry) {
-                ++hits;
-                if (entry->prefetched) {
-                    ++prefetchHits;
-                    entry->prefetched = false;
-                }
-                if (update_lru)
-                    entry->lastUse = ++lruClock_;
-                return entry;
-            }
+            int index = findIndex(ctx, pageNumber(vaddr, size), size);
+            if (index >= 0)
+                return demandHit(static_cast<std::size_t>(index),
+                                 update_lru);
         }
         ++misses;
         return nullptr;
@@ -114,61 +106,55 @@ class ReferenceTlb
     insert(const TlbEntry &entry)
     {
         ++insertions;
-        if (TlbEntry *existing =
-                findEntry(entry.ctx, entry.vpn, entry.size)) {
+        if (int index = findIndex(entry.ctx, entry.vpn, entry.size);
+            index >= 0) {
+            TlbEntry &existing = entries_[static_cast<std::size_t>(index)];
             bool was_prefetched =
-                existing->prefetched && entry.prefetched;
-            *existing = entry;
-            existing->prefetched = was_prefetched;
-            existing->lastUse = ++lruClock_;
+                existing.prefetched && entry.prefetched;
+            existing = entry;
+            existing.prefetched = was_prefetched;
+            lastUse_[static_cast<std::size_t>(index)] = ++lruClock_;
             return std::nullopt;
         }
 
-        std::uint32_t set = setIndex(entry.vpn, entry.size);
-        TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
-        TlbEntry *victim = &base[0];
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (!base[way].valid) {
-                victim = &base[way];
+        std::size_t base =
+            static_cast<std::size_t>(setIndex(entry.vpn, entry.size)) *
+            assoc_;
+        std::size_t victim = base;
+        for (std::size_t i = base; i < base + assoc_; ++i) {
+            if (!entries_[i].valid) {
+                victim = i;
                 break;
             }
-            if (base[way].lastUse < victim->lastUse)
-                victim = &base[way];
+            if (lastUse_[i] < lastUse_[victim])
+                victim = i;
         }
 
         std::optional<TlbEntry> evicted;
-        if (victim->valid) {
+        if (entries_[victim].valid) {
             ++evictions;
-            evicted = *victim;
+            evicted = entries_[victim];
         }
-        *victim = entry;
-        victim->lastUse = ++lruClock_;
+        entries_[victim] = entry;
+        lastUse_[victim] = ++lruClock_;
         return evicted;
     }
 
     bool
-    present(ContextId ctx, PageNum vpn, PageSize size)
+    present(ContextId ctx, PageNum vpn, PageSize size) const
     {
-        std::uint32_t set = setIndex(vpn, size);
-        const TlbEntry *base =
-            &entries_[static_cast<std::size_t>(set) * assoc_];
-        for (std::uint32_t way = 0; way < assoc_; ++way) {
-            if (base[way].matches(ctx, vpn, size))
-                return true;
-        }
-        return false;
+        return findIndex(ctx, vpn, size) >= 0;
     }
 
     bool
     invalidate(ContextId ctx, PageNum vpn, PageSize size)
     {
-        if (TlbEntry *entry = findEntry(ctx, vpn, size)) {
-            entry->valid = false;
-            ++invalidations;
-            return true;
-        }
-        return false;
+        int index = findIndex(ctx, vpn, size);
+        if (index < 0)
+            return false;
+        entries_[static_cast<std::size_t>(index)].valid = false;
+        ++invalidations;
+        return true;
     }
 
     std::uint64_t
@@ -208,6 +194,14 @@ class ReferenceTlb
         return count;
     }
 
+    /** Zero the counters (a restored array starts its stats afresh). */
+    void
+    resetCounters()
+    {
+        hits = misses = insertions = evictions = invalidations =
+            prefetchHits = 0;
+    }
+
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
@@ -216,11 +210,27 @@ class ReferenceTlb
     std::uint64_t prefetchHits = 0;
 
   private:
+    const TlbEntry *
+    demandHit(std::size_t index, bool update_lru)
+    {
+        ++hits;
+        TlbEntry &entry = entries_[index];
+        if (entry.prefetched) {
+            ++prefetchHits;
+            entry.prefetched = false;
+        }
+        if (update_lru)
+            lastUse_[index] = ++lruClock_;
+        return &entry;
+    }
+
     std::uint32_t numEntries_;
     std::uint32_t assoc_;
     std::uint32_t numSets_;
     std::uint64_t lruClock_ = 0;
     std::vector<TlbEntry> entries_;
+    /** LRU stamps, indexed like entries_. */
+    std::vector<std::uint64_t> lastUse_;
 };
 
 void
@@ -246,70 +256,10 @@ struct Geometry
 class TlbDifferentialTest : public ::testing::TestWithParam<Geometry>
 {};
 
-TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
+/** Every counter of @p soa equals the reference's. */
+void
+expectSameStats(const ReferenceTlb &ref, const SetAssocTlb &soa)
 {
-    const Geometry geom = GetParam();
-    ReferenceTlb ref(geom.entries, geom.assoc);
-    SetAssocTlb soa("soa_under_test", geom.entries, geom.assoc);
-
-    Random rng(0xd1ffe7e57ULL ^ (static_cast<std::uint64_t>(
-                                     geom.entries) << 16) ^ geom.assoc);
-    static constexpr PageSize sizes[] = {
-        PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB};
-
-    // Page pool sized ~3x the array so lookups hit, miss and evict.
-    const std::uint64_t pool =
-        std::max<std::uint64_t>(8, geom.entries * 3);
-
-    for (std::uint64_t op = 0; op < 20000; ++op) {
-        ContextId ctx = static_cast<ContextId>(rng.below(4));
-        PageNum vpn = rng.below(pool) + 0x40000;
-        PageSize size = sizes[rng.below(3)];
-        std::uint64_t kind = rng.below(100);
-
-        if (kind < 40) {
-            bool update_lru = rng.below(4) != 0;
-            expectSameEntry(ref.lookup(ctx, vpn, size, update_lru),
-                            soa.lookup(ctx, vpn, size, update_lru),
-                            op);
-        } else if (kind < 70) {
-            TlbEntry entry;
-            entry.valid = true;
-            entry.ctx = ctx;
-            entry.vpn = vpn;
-            entry.ppn = vpn ^ 0x5aa5;
-            entry.size = size;
-            entry.prefetched = rng.below(4) == 0;
-            std::optional<TlbEntry> re = ref.insert(entry);
-            std::optional<TlbEntry> se = soa.insert(entry);
-            expectSameEntry(re ? &*re : nullptr,
-                            se ? &*se : nullptr, op);
-        } else if (kind < 80) {
-            Addr vaddr = (vpn << pageShift(PageSize::FourKB)) |
-                         (rng.below(512) << 3);
-            expectSameEntry(ref.lookupAnySize(ctx, vaddr),
-                            soa.lookupAnySize(ctx, vaddr), op);
-        } else if (kind < 88) {
-            EXPECT_EQ(ref.present(ctx, vpn, size),
-                      soa.present(ctx, vpn, size)) << "op " << op;
-        } else if (kind < 96) {
-            EXPECT_EQ(ref.invalidate(ctx, vpn, size),
-                      soa.invalidate(ctx, vpn, size)) << "op " << op;
-        } else if (kind < 99) {
-            EXPECT_EQ(ref.invalidateContext(ctx),
-                      soa.invalidateContext(ctx)) << "op " << op;
-        } else {
-            EXPECT_EQ(ref.invalidateAll(), soa.invalidateAll())
-                << "op " << op;
-        }
-
-        if (op % 512 == 0) {
-            ASSERT_EQ(ref.occupancy(), soa.occupancy()) << "op " << op;
-        }
-        if (::testing::Test::HasFailure())
-            FAIL() << "first divergence at op " << op;
-    }
-
     EXPECT_EQ(ref.occupancy(), soa.occupancy());
     EXPECT_EQ(ref.hits, static_cast<std::uint64_t>(soa.hits.value()));
     EXPECT_EQ(ref.misses,
@@ -322,6 +272,117 @@ TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
               static_cast<std::uint64_t>(soa.invalidations.value()));
     EXPECT_EQ(ref.prefetchHits,
               static_cast<std::uint64_t>(soa.prefetchHits.value()));
+}
+
+constexpr std::uint64_t kCkptFingerprint = 0x7e57;
+constexpr std::uint32_t kCkptTag = sim::ckptTag('T', 'L', 'B', ' ');
+
+/** A checkpoint holding @p tlb's state alone. */
+sim::CkptWriter
+checkpointOf(const SetAssocTlb &tlb)
+{
+    sim::CkptWriter w(kCkptFingerprint);
+    w.begin(kCkptTag);
+    tlb.saveState(w);
+    w.end();
+    return w;
+}
+
+TEST_P(TlbDifferentialTest, RandomizedOpsMatchReference)
+{
+    const Geometry geom = GetParam();
+    ReferenceTlb ref(geom.entries, geom.assoc);
+    auto soa = std::make_unique<SetAssocTlb>("soa_under_test",
+                                             geom.entries, geom.assoc);
+
+    Random rng(0xd1ffe7e57ULL ^ (static_cast<std::uint64_t>(
+                                     geom.entries) << 16) ^ geom.assoc);
+    static constexpr PageSize sizes[] = {
+        PageSize::FourKB, PageSize::TwoMB, PageSize::OneGB};
+
+    // Page pool sized ~3x the array so lookups hit, miss and evict.
+    const std::uint64_t pool =
+        std::max<std::uint64_t>(8, geom.entries * 3);
+    const std::uint64_t ops = 20000;
+
+    for (std::uint64_t op = 0; op < ops; ++op) {
+        if (op == ops / 2) {
+            // Checkpoint round trip: the restored array re-saves the
+            // same bytes and keeps matching the reference op for op.
+            expectSameStats(ref, *soa);
+            const std::string path = ::testing::TempDir() +
+                                     "nocstar_tlb_soa_" +
+                                     std::to_string(geom.entries) + "x" +
+                                     std::to_string(geom.assoc) +
+                                     ".ckpt";
+            const sim::CkptWriter saved = checkpointOf(*soa);
+            saved.save(path);
+            auto restored = std::make_unique<SetAssocTlb>(
+                "soa_restored", geom.entries, geom.assoc);
+            sim::CkptReader r(path, kCkptFingerprint);
+            r.enter(kCkptTag);
+            restored->restoreState(r);
+            r.leave();
+            EXPECT_TRUE(r.atEnd());
+            EXPECT_EQ(saved.framed(), checkpointOf(*restored).framed());
+            soa = std::move(restored);
+            ref.resetCounters(); // statistics are not array state
+        }
+
+        ContextId ctx = static_cast<ContextId>(rng.below(4));
+        PageNum vpn = rng.below(pool) + 0x40000;
+        PageSize size = sizes[rng.below(3)];
+        std::uint64_t kind = rng.below(100);
+
+        if (kind < 30) {
+            bool update_lru = rng.below(4) != 0;
+            expectSameEntry(ref.lookup(ctx, vpn, size, update_lru),
+                            soa->lookup(ctx, vpn, size, update_lru),
+                            op);
+        } else if (kind < 40) {
+            bool update_lru = rng.below(4) != 0;
+            EXPECT_EQ(ref.lookup(ctx, vpn, size, update_lru) != nullptr,
+                      soa->lookupHit(ctx, vpn, size, update_lru))
+                << "op " << op;
+        } else if (kind < 70) {
+            TlbEntry entry;
+            entry.valid = true;
+            entry.ctx = ctx;
+            entry.vpn = vpn;
+            entry.ppn = vpn ^ 0x5aa5;
+            entry.size = size;
+            entry.prefetched = rng.below(4) == 0;
+            std::optional<TlbEntry> re = ref.insert(entry);
+            std::optional<TlbEntry> se = soa->insert(entry);
+            expectSameEntry(re ? &*re : nullptr,
+                            se ? &*se : nullptr, op);
+        } else if (kind < 80) {
+            Addr vaddr = (vpn << pageShift(PageSize::FourKB)) |
+                         (rng.below(512) << 3);
+            expectSameEntry(ref.lookupAnySize(ctx, vaddr),
+                            soa->lookupAnySize(ctx, vaddr), op);
+        } else if (kind < 88) {
+            EXPECT_EQ(ref.present(ctx, vpn, size),
+                      soa->present(ctx, vpn, size)) << "op " << op;
+        } else if (kind < 96) {
+            EXPECT_EQ(ref.invalidate(ctx, vpn, size),
+                      soa->invalidate(ctx, vpn, size)) << "op " << op;
+        } else if (kind < 99) {
+            EXPECT_EQ(ref.invalidateContext(ctx),
+                      soa->invalidateContext(ctx)) << "op " << op;
+        } else {
+            EXPECT_EQ(ref.invalidateAll(), soa->invalidateAll())
+                << "op " << op;
+        }
+
+        if (op % 512 == 0) {
+            ASSERT_EQ(ref.occupancy(), soa->occupancy()) << "op " << op;
+        }
+        if (::testing::Test::HasFailure())
+            FAIL() << "first divergence at op " << op;
+    }
+
+    expectSameStats(ref, *soa);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -362,10 +423,24 @@ TEST(SetAssocTlbSoa, PackedTagRangeLimitsAreEnforced)
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->ppn, 0x1234u);
 
-    // Unpackable inserts fail loudly instead of corrupting a tag.
+    // Unpackable inserts fail loudly instead of corrupting a tag or
+    // the prefetched flag sharing the ppn word.
     TlbEntry wide = entry;
     wide.vpn = SetAssocTlb::maxVpn + 1;
     EXPECT_THROW(tlb.insert(wide), FatalError);
+    wide = entry;
+    wide.ppn = SetAssocTlb::maxPpn + 1;
+    EXPECT_THROW(tlb.insert(wide), FatalError);
+}
+
+TEST(SetAssocTlbSoa, MemoryBytesCountPaddedSetBlocks)
+{
+    // Each set is [keys | stamps | ppn words] rounded up to whole
+    // 64-byte lines.
+    EXPECT_EQ(SetAssocTlb("l1", 64, 4).memoryBytes(), 16u * 128);
+    EXPECT_EQ(SetAssocTlb("slice", 920, 8).memoryBytes(), 115u * 192);
+    EXPECT_EQ(SetAssocTlb("odd", 24, 6).memoryBytes(), 4u * 192);
+    EXPECT_EQ(SetAssocTlb("direct", 16, 1).memoryBytes(), 16u * 64);
 }
 
 TEST(SetAssocTlbSoa, OccupancyIsLiveAndEmptyFlushesShortCircuit)
