@@ -13,6 +13,7 @@
 
 #include "bench/bench_common.hh"
 #include "noc/topology.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -47,7 +48,7 @@ deadLinkPlan(const noc::GridTopology &topo, unsigned dead)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     constexpr unsigned cores = 32;
     auto args = bench::parseBenchArgs(

@@ -10,11 +10,12 @@
 
 #include "bench/bench_common.hh"
 #include "core/nocstar_org.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 5000,

@@ -9,11 +9,12 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 6000,

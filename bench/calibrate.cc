@@ -11,11 +11,12 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     unsigned cores = 32;
     bench::BenchArgs args{bench::defaultAccesses, 0};

@@ -10,12 +10,13 @@
 
 #include "bench/arg_parser.hh"
 #include "energy/sram_model.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using energy::SramModel;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     nocstar::bench::ArgParser parser(
         "fig03_sram_latency",

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -50,7 +51,7 @@ printBuckets(const char *label, const std::vector<double> &buckets)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 4000,

@@ -11,12 +11,13 @@
 
 #include "bench/arg_parser.hh"
 #include "energy/area.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using energy::TileAreaReport;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     nocstar::bench::ArgParser parser(
         "fig09_area_power",

@@ -10,12 +10,13 @@
 
 #include "bench/arg_parser.hh"
 #include "energy/noc_energy.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::energy;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     nocstar::bench::ArgParser parser(
         "fig11b_energy_vs_hops",

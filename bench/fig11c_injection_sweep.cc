@@ -13,6 +13,7 @@
 #include "core/interconnect.hh"
 #include "noc/queued_mesh.hh"
 #include "sim/random.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -81,7 +82,7 @@ runPoint(double rate, Cycle horizon)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     std::uint64_t horizon = 20000;
     bench::ArgParser parser(

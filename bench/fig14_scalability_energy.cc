@@ -10,11 +10,12 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     auto args = bench::parseBenchArgs(argc, argv, 10000);
 

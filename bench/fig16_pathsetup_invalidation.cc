@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -22,7 +23,7 @@ const char *focusWorkloads[] = {"canneal", "graph500", "gups",
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args = bench::parseBenchArgs(
         argc, argv, 8000,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -48,7 +49,7 @@ printCurve(const char *label, std::vector<double> values)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     auto args = bench::parseBenchArgs(argc, argv, 2500);
 

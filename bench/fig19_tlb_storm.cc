@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -75,7 +76,7 @@ blockAverage(const cpu::RunResult *block, std::size_t k)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     auto args = bench::parseBenchArgs(argc, argv, 6000);
 

@@ -9,8 +9,9 @@
  * translation) once on the private baseline and once on NOCSTAR, then
  * reports simulated accesses per second and writes the machine-
  * readable BENCH_hotpath.json used to track the perf trajectory
- * across PRs. The JSON also carries each run's hit-streak bypass
- * length distribution so the bypass's coverage is observable.
+ * across PRs. The JSON also carries each run's run-ahead length
+ * distribution (L1 hits run ahead per step event) so its coverage is
+ * observable.
  *
  * Usage: bench_hotpath [accesses-per-thread] [--baseline-json FILE]
  * (default 20000 accesses). --baseline-json loads a previously
@@ -25,6 +26,7 @@
 #include <string>
 
 #include "bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::bench;
@@ -38,7 +40,7 @@ struct Measurement
     std::uint64_t accesses = 0;
     Cycle simCycles = 0;
     double wallSeconds = 0;
-    /** Bypass streak-length Distribution, JSON-rendered. */
+    /** Run-ahead length Distribution, JSON-rendered. */
     std::string streakJson;
     double streakMean = 0;
 
@@ -61,7 +63,7 @@ measure(const char *label, core::OrgKind kind, std::uint64_t accesses)
     // cold branch predictors and allocator warmup.
     runOnce(config, accesses / 4);
 
-    // The timed run holds its System, so the bypass streak stat can
+    // The timed run holds its System, so the run-ahead length stat can
     // be read back after run() (runOnce() discards it).
     cpu::SystemConfig cfg = applySelections(config);
     if (std::vector<std::string> errors = cfg.validate();
@@ -119,7 +121,7 @@ loadBaselineAggregate(const std::string &path)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args{20000, 0};
     std::string baseline_path;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -140,7 +141,7 @@ jsonRow(std::FILE *f, const Row &r, bool first)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args{/*accesses=*/2000000, /*jobs=*/1};
     bench::ArgParser parser = bench::makeBenchParser(

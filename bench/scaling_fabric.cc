@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -67,7 +68,7 @@ parseTilesList(const std::string &value, std::vector<unsigned> &out)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::BenchArgs args{/*accesses=*/2000, /*jobs=*/1};
     std::vector<unsigned> tileCounts{64, 256, 1024};

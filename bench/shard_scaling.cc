@@ -44,6 +44,7 @@
 #include "sim/build_info.hh"
 
 #include "bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::bench;
@@ -192,7 +193,7 @@ loadBaselineSpeedup4(const std::string &path)
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     BenchArgs args{50000, 0};
     unsigned tiles = 64;

@@ -12,12 +12,13 @@
 
 #include "bench/arg_parser.hh"
 #include "noc/design_space.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::noc;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     unsigned cores = 64;
     bench::ArgParser parser(

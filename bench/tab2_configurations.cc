@@ -12,12 +12,13 @@
 #include "core/config.hh"
 #include "energy/area.hh"
 #include "energy/sram_model.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::core;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     unsigned cores = 32;
     bench::ArgParser parser(

@@ -13,6 +13,7 @@
 #include <functional>
 
 #include "bench/bench_common.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -30,7 +31,7 @@ struct Row
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     auto args = bench::parseBenchArgs(argc, argv, 3000);
 

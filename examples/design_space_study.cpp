@@ -13,6 +13,7 @@
 
 #include "bench/arg_parser.hh"
 #include "cpu/system.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -41,7 +42,7 @@ run(core::OrgKind kind, unsigned cores,
 } // namespace
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     std::string name = "xsbench";
     std::uint64_t base_accesses = 10000;

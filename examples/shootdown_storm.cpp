@@ -15,11 +15,12 @@
 
 #include "bench/arg_parser.hh"
 #include "cpu/system.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     unsigned cores = 32;
     std::uint64_t accesses = 8000;

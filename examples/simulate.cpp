@@ -24,6 +24,7 @@
 #include "sim/fault.hh"
 #include "sim/parallel.hh"
 #include "sim/trace_recorder.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
@@ -52,9 +53,11 @@ parseOrg(const std::string &name, core::OrgKind &out)
     return true;
 }
 
+} // namespace
+
 /** Parse the flags, run one simulation and print its summary. */
 int
-simulate(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     cpu::SystemConfig config;
     config.org.kind = core::OrgKind::Nocstar;
@@ -274,6 +277,9 @@ simulate(int argc, char **argv)
                   "re-warming (config fingerprint must match)",
                   "FILE");
     parser.flag("stats", &dump_stats, "dump the full statistics tree");
+    parser.option("stats-json", &config.statsJsonPath,
+                  "append the statistics tree as one JSON line to FILE",
+                  "FILE");
     parser.parseOrExit(argc, argv);
 
     if (no_superpages)
@@ -379,20 +385,4 @@ simulate(int argc, char **argv)
         system.dumpAll(std::cout);
     }
     return 0;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    // Bad input found past flag parsing -- a truncated or foreign
-    // checkpoint, an empty trace -- raises FatalError; report it and
-    // exit 1 instead of aborting.
-    try {
-        return simulate(argc, argv);
-    } catch (const FatalError &err) {
-        std::fprintf(stderr, "%s\n", err.what());
-        return 1;
-    }
 }

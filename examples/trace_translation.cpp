@@ -33,11 +33,12 @@
 #include "sim/trace.hh"
 #include "sim/trace_recorder.hh"
 #include "workload/spec.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::ArgParser parser(
         "trace_translation",

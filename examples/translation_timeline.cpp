@@ -13,12 +13,13 @@
 #include "core/nocstar_org.hh"
 #include "mem/cache_model.hh"
 #include "mem/page_walker.hh"
+#include "sim/program_main.hh"
 
 using namespace nocstar;
 using namespace nocstar::core;
 
 int
-main(int argc, char **argv)
+programMain(int argc, char **argv)
 {
     bench::ArgParser parser(
         "translation_timeline",

@@ -217,9 +217,13 @@ System::System(const SystemConfig &config)
       pollutionStalls_(this, "pollution_stalls",
                        "cycles charged for foreign PTE fills"),
       bypassStreaks_(this, "bypass_streak_length",
-                     "accesses executed inline per dispatched step",
-                     0, 63, 1)
+                     "L1 hits run ahead per dispatched step", 0, 63, 1)
 {
+    sysEventAt_.fill(invalidCycle);
+    // Only a remote walk fills a cache on another core's behalf, and
+    // only a charged penalty makes that visible to the core's thread.
+    runAhead_ = !(config.pollutionPenalty > 0 &&
+                  config.org.ptwPlacement == core::PtwPlacement::Remote);
     if (std::vector<std::string> errors = config.validate();
         !errors.empty())
         fatal("invalid system config:",
@@ -423,22 +427,122 @@ System::scheduleStep(std::size_t thread_index, Cycle when)
         queue_.schedule(&stepEvents_[thread_index], when);
 }
 
+Cycle
+System::runAheadBound(std::size_t thread_index, Cycle now) const
+{
+    if (!runAhead_)
+        return now;
+    // SMT siblings share the L1 group: a thread may run up to, not
+    // past, a sibling's next step, and not at all while a sibling's
+    // refill is on its way.
+    Cycle bound = horizon_;
+    const HwThread &thread = threads_[thread_index];
+    for (std::size_t sibling : threadsOfCore_[thread.core]) {
+        if (sibling == thread_index || threads_[sibling].finished)
+            continue;
+        const StepEvent &ev = stepEvents_[sibling];
+        if (!ev.scheduled())
+            return now;
+        bound = std::min(bound, ev.when());
+    }
+    return bound;
+}
+
+void
+System::probeFirstTouch(const HwThread &thread, Addr vaddr)
+{
+    mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
+    ++l1Accesses_;
+    energy_.addL1Lookup();
+    if (l1s_[thread.core]->lookupHit(thread.ctx, pageNumber(vaddr, t.size),
+                                     t.size))
+        panic("first-touch access hit the L1 TLB");
+    ++l1Misses_;
+}
+
+void
+System::issueMiss(std::size_t thread_index, Addr vaddr, Cycle now)
+{
+    const HwThread &thread = threads_[thread_index];
+    TRACE(System, "thread ", thread_index, " core ", thread.core,
+          " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
+    org_->translate(
+        thread.core, thread.ctx, vaddr, now,
+        [this, thread_index, vaddr,
+         now](const core::TranslationResult &result) {
+            HwThread &th = threads_[thread_index];
+            recordMissLatency(thread_index, result, now);
+            if (sim::recording())
+                sim::recorder().span(
+                    sim::Lane::Translation, th.core,
+                    result.walked        ? "translation (walk)"
+                        : result.l2Hit   ? "translation (L2 hit)"
+                                         : "translation",
+                    now, result.completedAt, vaddr, thread_index,
+                    "vaddr", "thread");
+            l1s_[th.core]->insert(result.entry);
+            Cycle resume = std::max(result.completedAt,
+                                    queue_.curCycle());
+            // The refill resumes the thread: its next access runs
+            // ahead from here, with no step event unless it must.
+            runAhead(thread_index, resume + burstCycles(th), false);
+        });
+}
+
 void
 System::step(std::size_t thread_index)
 {
     HwThread &thread = threads_[thread_index];
-    Cycle now = queue_.curCycle();
-    std::uint64_t streak = 0;
+    if (thread.heldMiss) {
+        // The access a run-ahead found to miss, now at its own cycle.
+        thread.heldMiss = false;
+        if (!thread.heldProbed)
+            probeFirstTouch(thread, thread.heldVaddr);
+        issueMiss(thread_index, thread.heldVaddr, queue_.curCycle());
+        bypassStreaks_.sample(0);
+        return;
+    }
+    runAhead(thread_index, queue_.curCycle(), true);
+}
 
-    // Hit-streak bypass: after an L1 hit the only pending work of this
-    // thread is its own next step. When the queue is quiet until that
-    // cycle (no record, live or stale, anywhere in the window -- so
-    // the step event we would schedule is exactly the event the wheel
-    // would dispatch next), executing it inline and advancing the
-    // clock directly is schedule-identical; see DESIGN.md. Any L1
-    // miss, exhausted quota or intervening event falls back to the
-    // queue.
-    for (;;) {
+void
+System::runAhead(std::size_t thread_index, Cycle now, bool dispatched)
+{
+    // Every access but a dispatched step's own runs ahead of the clock
+    // while it hits and its cycle is inside the bound, touching only
+    // this thread and its core's L1 group (see DESIGN.md, "Per-thread
+    // run-ahead"). `at` is the cycle of the dispatch that would
+    // schedule the next step in a one-access-per-event engine, and
+    // `parent` the cycle that dispatch was itself scheduled in; the
+    // next step's queue order key reproduces them.
+    HwThread &thread = threads_[thread_index];
+    const Cycle start = queue_.curCycle();
+    const Cycle bound = runAheadBound(thread_index, start);
+    tlb::L1TlbGroup &l1 = *l1s_[thread.core];
+    Cycle at = start, parent = start;
+    auto schedule_next = [&] {
+        if (at == start)
+            scheduleStep(thread_index, now);
+        else
+            queue_.scheduleAhead(&stepEvents_[thread_index], now, at,
+                                 parent,
+                                 static_cast<std::uint32_t>(thread_index));
+    };
+    auto hold_miss = [&](Addr vaddr, bool probed) {
+        thread.heldMiss = true;
+        thread.heldProbed = probed;
+        thread.heldVaddr = vaddr;
+        schedule_next();
+    };
+
+    std::uint64_t probes = 0, misses = 0, hits = 0;
+    for (bool first = dispatched;; first = false) {
+        // A zero-cycle burst (now == at) would put two accesses in one
+        // cycle; the queue orders those, so it gets its own event.
+        if (!first && (now >= bound || now == at)) {
+            schedule_next();
+            break;
+        }
         if (thread.accessesDone >= thread.quota) {
             if (!thread.finished) {
                 thread.finished = true;
@@ -448,56 +552,52 @@ System::step(std::size_t thread_index)
             break;
         }
         ++thread.accessesDone;
-
         Addr vaddr = nextAddress(thread);
-        mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
-        PageNum vpn = pageNumber(vaddr, t.size);
 
-        ++l1Accesses_;
-        energy_.addL1Lookup();
-        if (!l1s_[thread.core]->lookupHit(thread.ctx, vpn, t.size)) {
-            ++l1Misses_;
-            TRACE(System, "thread ", thread_index, " core ", thread.core,
-                  " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
-            org_->translate(
-                thread.core, thread.ctx, vaddr, now,
-                [this, thread_index, vaddr,
-                 now](const core::TranslationResult &result) {
-                    HwThread &th = threads_[thread_index];
-                    recordMissLatency(thread_index, result, now);
-                    if (sim::recording())
-                        sim::recorder().span(
-                            sim::Lane::Translation, th.core,
-                            result.walked        ? "translation (walk)"
-                                : result.l2Hit   ? "translation (L2 hit)"
-                                                 : "translation",
-                            now, result.completedAt, vaddr, thread_index,
-                            "vaddr", "thread");
-                    l1s_[th.core]->insert(result.entry);
-                    Cycle resume = std::max(result.completedAt,
-                                            queue_.curCycle());
-                    scheduleStep(thread_index, resume + burstCycles(th));
-                });
+        mem::Translation t;
+        if (first) {
+            t = pageTable_->translate(thread.ctx, vaddr);
+        } else if (std::optional<mem::Translation> mapped =
+                       pageTable_->peekMemo(thread.ctx, vaddr)) {
+            t = *mapped;
+        } else {
+            // Unmapped region: a guaranteed miss whose allocation must
+            // wait for its own cycle, in order with other threads'.
+            hold_miss(vaddr, false);
+            break;
+        }
+
+        ++probes;
+        if (!l1.lookupHit(thread.ctx, pageNumber(vaddr, t.size), t.size)) {
+            ++misses;
+            if (first)
+                issueMiss(thread_index, vaddr, now);
+            else
+                hold_miss(vaddr, true);
             break;
         }
 
         // Translation overlapped with the L1 cache access: no stall
         // (the hit class records latency 0 for exactly that reason).
-        if (latency_) {
-            latency_->l1Hit.record(0);
-            if (!latency_->byCtx.empty())
-                latency_->byCtx[thread.ctx]->record(0);
-        }
-        Cycle next = now + burstCycles(thread);
-        if (!config_.stepBypass || !queue_.quietUntil(next)) {
-            scheduleStep(thread_index, next);
-            break;
-        }
-        queue_.advanceTo(next);
-        now = next;
-        ++streak;
+        ++hits;
+        parent = at;
+        at = now;
+        now += burstCycles(thread);
     }
-    bypassStreaks_.sample(static_cast<double>(streak));
+
+    // Counted in bulk: order-free integer sums, and every event that
+    // reads them bounds the run.
+    l1Accesses_ += static_cast<double>(probes);
+    l1Misses_ += static_cast<double>(misses);
+    energy_.addL1Lookups(probes);
+    if (latency_ && hits) {
+        latency_->l1Hit.record(0, hits);
+        if (!latency_->byCtx.empty())
+            latency_->byCtx[thread.ctx]->record(0, hits);
+    }
+    // One sample per step event; its own access is not run ahead.
+    if (dispatched)
+        bypassStreaks_.sample(static_cast<double>(hits ? hits - 1 : 0));
 }
 
 void
@@ -555,12 +655,12 @@ System::shardStep(std::size_t thread_index)
         if (!lane.hitsByCtx.empty())
             ++lane.hitsByCtx[thread.ctx];
 
-        // L1 hit: the legacy hit-streak bypass, additionally clamped
-        // to the window end (past it, the serial phase may owe this
-        // queue a resumption this quiescence scan cannot see).
+        // L1 hit: run on inline while the shard queue is quiet up to
+        // the next access, clamped to the window end (past it, the
+        // serial phase may owe this queue a resumption this
+        // quiescence scan cannot see).
         Cycle next = now + burstCycles(thread);
-        if (!config_.stepBypass || next > windowEnd_ ||
-            q.firstBusyCycle(next) != invalidCycle) {
+        if (next > windowEnd_ || q.firstBusyCycle(next) != invalidCycle) {
             q.schedule(&stepEvents_[thread_index], next);
             break;
         }
@@ -577,18 +677,8 @@ System::replayMiss(const DeferredMiss &miss, const core::ProbeResult *probe)
     Cycle now = miss.cycle;
     Addr vaddr = miss.vaddr;
 
-    if (!miss.probed) {
-        // First touch of the region: allocate, then take the probe the
-        // shard skipped, with its counting. The probe cannot hit.
-        mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
-        ++l1Accesses_;
-        energy_.addL1Lookup();
-        if (l1s_[thread.core]->lookupHit(thread.ctx,
-                                         pageNumber(vaddr, t.size),
-                                         t.size))
-            panic("deferred first-touch access hit the L1 TLB");
-        ++l1Misses_;
-    }
+    if (!miss.probed)
+        probeFirstTouch(thread, vaddr);
 
     TRACE(System, "thread ", thread_index, " core ", thread.core,
           " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
@@ -658,9 +748,12 @@ System::installCounterEvent()
     if (split_ || config_.counterInterval == 0 || !sim::recording())
         return;
     // lastPriority: the sample sees every event of its cycle.
+    Cycle when = queue_.curCycle() + config_.counterInterval;
+    armSysEvent(CounterEvent, when);
     queue_.scheduleLambda(
-        queue_.curCycle() + config_.counterInterval,
+        when,
         [this] {
+            armSysEvent(CounterEvent, invalidCycle);
             if (unfinished_ == 0)
                 return;
             sampleCounters(queue_.curCycle());
@@ -678,9 +771,12 @@ System::installProgressEvent()
     // that any human-scale period is honoured, rare enough that the
     // check itself never shows up in a profile.
     constexpr Cycle checkInterval = 8192;
+    Cycle when = queue_.curCycle() + checkInterval;
+    armSysEvent(ProgressEvent, when);
     queue_.scheduleLambda(
-        queue_.curCycle() + checkInterval,
+        when,
         [this] {
+            armSysEvent(ProgressEvent, invalidCycle);
             if (unfinished_ == 0)
                 return;
             maybeProgress();
@@ -1060,7 +1156,9 @@ System::installContextSwitchEvent()
     if (config_.contextSwitchInterval == 0)
         return;
     Cycle when = queue_.curCycle() + config_.contextSwitchInterval;
+    armSysEvent(ContextSwitchEvent, when);
     queue_.scheduleLambda(when, [this] {
+        armSysEvent(ContextSwitchEvent, invalidCycle);
         if (unfinished_ == 0)
             return;
         // x86 context switch without PCID: everything is flushed.
@@ -1117,8 +1215,7 @@ System::stormOp()
         org_->shootdown(initiator, ctx, page, sharers, now, nullptr);
     }
 
-    queue_.scheduleLambda(now + config_.stormRemapInterval,
-                          [this] { stormOp(); });
+    installStormEvent();
 }
 
 void
@@ -1126,8 +1223,19 @@ System::installStormEvent()
 {
     if (config_.stormRemapInterval == 0)
         return;
-    queue_.scheduleLambda(queue_.curCycle() + config_.stormRemapInterval,
-                          [this] { stormOp(); });
+    Cycle when = queue_.curCycle() + config_.stormRemapInterval;
+    armSysEvent(StormEvent, when);
+    queue_.scheduleLambda(when, [this] {
+        armSysEvent(StormEvent, invalidCycle);
+        stormOp();
+    });
+}
+
+void
+System::armSysEvent(SysEvent e, Cycle when)
+{
+    sysEventAt_[e] = when;
+    horizon_ = *std::min_element(sysEventAt_.begin(), sysEventAt_.end());
 }
 
 void
@@ -1136,9 +1244,12 @@ System::installEpochEvent()
     if (config_.statsEpochInterval == 0)
         return;
     // lastPriority: the snapshot sees every stat update of its cycle.
+    Cycle when = queue_.curCycle() + config_.statsEpochInterval;
+    armSysEvent(EpochEvent, when);
     queue_.scheduleLambda(
-        queue_.curCycle() + config_.statsEpochInterval,
+        when,
         [this] {
+            armSysEvent(EpochEvent, invalidCycle);
             if (unfinished_ == 0)
                 return;
             TRACE(Stats, "epoch ", epochSnapshots_.size(),
@@ -1385,10 +1496,17 @@ System::fastForward(std::uint64_t accesses)
 void
 System::drive()
 {
-    if (split_)
+    if (split_) {
         driveSharded();
-    else
-        queue_.run();
+        return;
+    }
+    queue_.run();
+    // A thread that ran ahead retired without an event at its finish
+    // cycle; the clock still ends where that event would have left it.
+    Cycle last = queue_.curCycle();
+    for (const HwThread &thread : threads_)
+        last = std::max(last, thread.finishedAt);
+    queue_.advanceTo(last);
 }
 
 void

@@ -104,17 +104,6 @@ struct SystemConfig
     /** Cycles charged to a core per foreign PTE fill (Fig 17). */
     Cycle pollutionPenalty = 15;
 
-    /**
-     * Hit-streak event-queue bypass: after an L1 TLB hit, keep
-     * executing the thread's subsequent accesses inline -- advancing
-     * the clock directly -- for as long as the thread's next step
-     * would be the very event the queue dispatched next anyway. The
-     * schedule is provably identical either way (see DESIGN.md,
-     * "anatomy of the hot path"); the flag exists so tests can prove
-     * it by running both settings.
-     */
-    bool stepBypass = true;
-
     /** Flush all TLBs this often (0 = never; storm runs use 1M). */
     Cycle contextSwitchInterval = 0;
     /** Storm microbenchmark remap period (0 = off). */
@@ -340,7 +329,10 @@ class System : public stats::StatGroup
     static std::vector<double>
     paperBuckets(const stats::Distribution &dist);
 
-    /** Hit-streak bypass coverage (inline accesses per dispatch). */
+    /**
+     * Run-ahead coverage: one sample per dispatched step event,
+     * valued at the L1 hits that dispatch ran ahead of the clock.
+     */
     const stats::Distribution &bypassStreaks() const
     {
         return bypassStreaks_;
@@ -448,6 +440,30 @@ class System : public stats::StatGroup
         std::array<Addr, addrBatch> batch;
         unsigned batchPos = 0;
         unsigned batchLen = 0;
+        /**
+         * A run-ahead found this thread's next access to miss the L1;
+         * it is issued when the step event reaches its cycle.
+         */
+        bool heldMiss = false;
+        /** The held access was already probed and counted (its region
+         * was mapped); otherwise the issue translates and probes it. */
+        bool heldProbed = false;
+        Addr heldVaddr = 0;
+    };
+
+    /**
+     * System events whose handlers read or write what an L1 hit
+     * touches (L1 arrays, pending stalls, stats, finish state): a
+     * run-ahead stops before the earliest one still scheduled.
+     */
+    enum SysEvent : unsigned
+    {
+        ContextSwitchEvent,
+        StormEvent,
+        EpochEvent,
+        CounterEvent,
+        ProgressEvent,
+        NumSysEvents,
     };
 
     /**
@@ -645,8 +661,45 @@ class System : public stats::StatGroup
     /** Restore state saved by saveCheckpoint() (fatal on mismatch). */
     void restoreCheckpoint(const std::string &path);
 
-    /** Issue one access for @p thread at the current cycle. */
+    /**
+     * Dispatch of @p thread_index's step event: issue the miss a
+     * run-ahead held for this cycle, or else runAhead() from here.
+     */
     void step(std::size_t thread_index);
+
+    /**
+     * Run @p thread_index's accesses from cycle @p now: the first at
+     * the current cycle if @p dispatched (the step event's own
+     * access), then every L1 hit ahead of the clock until an access
+     * misses, the quota runs out or runAheadBound() is reached; then
+     * schedule one step event there. A miss refill calls this with
+     * the resumed thread's first access cycle.
+     */
+    void runAhead(std::size_t thread_index, Cycle now, bool dispatched);
+
+    /**
+     * Last cycle (exclusive) up to which a thread dispatched at
+     * @p now may run accesses ahead: the earliest scheduled System
+     * event and, on an SMT core, the next step of any sibling; @p now
+     * itself (no run-ahead) while a sibling's miss is in flight or
+     * when foreign PTE fills may stall the thread at any time.
+     */
+    Cycle runAheadBound(std::size_t thread_index, Cycle now) const;
+
+    /** Send @p thread_index's L1 miss at cycle @p now to the org. */
+    void issueMiss(std::size_t thread_index, Addr vaddr, Cycle now);
+
+    /**
+     * Allocate, probe and count an access whose region was unmapped
+     * when it was drawn: such an access cannot hit any L1 array.
+     */
+    void probeFirstTouch(const HwThread &thread, Addr vaddr);
+
+    /**
+     * Note that System event @p e is scheduled at @p when, or that it
+     * has fired and is not rearmed (@p when = invalidCycle).
+     */
+    void armSysEvent(SysEvent e, Cycle when);
 
     /**
      * Sharded-engine analogue of step(), run on a shard worker during
@@ -729,6 +782,17 @@ class System : public stats::StatGroup
     std::atomic<unsigned> unfinished_{0};
     Random rng_;
 
+    /**
+     * False when a thread's pending stall can change at any time (a
+     * walk on another core's behalf fills this core's cache and
+     * charges the pollution penalty): then every access is one step.
+     */
+    bool runAhead_ = true;
+    /** Scheduled cycle of each System event (invalidCycle if none). */
+    std::array<Cycle, NumSysEvents> sysEventAt_;
+    /** Minimum of sysEventAt_. */
+    Cycle horizon_ = invalidCycle;
+
     // Sharded-engine state (empty/null when config_.shards == 0).
     /** True when the window engine replaces the legacy single queue. */
     bool split_ = false;
@@ -741,7 +805,8 @@ class System : public stats::StatGroup
     /** Resumptions emitted by the current serial phase, delivered at
      * max(when, windowEnd_ + 1) before the next parallel phase. */
     std::vector<PendingResume> pendingResumes_;
-    /** Inclusive end of the current window (bypass clamp, resume floor). */
+    /** Inclusive end of the current window (hit-run clamp, resume
+     * floor). */
     Cycle windowEnd_ = 0;
     /** Owning shard of each home array (contiguous index ranges). */
     std::vector<unsigned> shardOfArray_;
@@ -785,10 +850,7 @@ class System : public stats::StatGroup
     stats::Scalar l1Accesses_;
     stats::Scalar l1Misses_;
     stats::Scalar pollutionStalls_;
-    /**
-     * Accesses executed inline per dispatched step (0 = the bypass
-     * never fired for that dispatch), so its coverage is observable.
-     */
+    /** L1 hits run ahead per dispatched step (see bypassStreaks()). */
     stats::Distribution bypassStreaks_;
 
     // Storm state.

@@ -46,21 +46,17 @@ class TranslationEnergyModel
      * occupancy), the term that makes eliminated walks dominate. */
     static constexpr double dramAccessPj = 15000.0;
 
-    /** Count one L1 TLB probe. */
-    void addL1Lookup() { dynamicPj_ += l1TlbLookupPj; }
-
     /**
-     * Count @p n L1 TLB probes in one addition. The sharded engine
-     * folds per-shard probe counts at window boundaries through this:
-     * summing the integer counts first and adding once keeps the
-     * accumulated double bit-identical at every shard count (integral
-     * doubles below 2^53 add exactly).
+     * Count one L1 TLB probe. Probes are kept as an integer count and
+     * priced once when the energy is read, so the total does not
+     * depend on how probes interleave with the other (non-integral)
+     * terms -- an engine may count a thread's hits in any order or
+     * batch.
      */
-    void
-    addL1Lookups(std::uint64_t n)
-    {
-        dynamicPj_ += l1TlbLookupPj * static_cast<double>(n);
-    }
+    void addL1Lookup() { ++l1Lookups_; }
+
+    /** Count @p n L1 TLB probes (see addL1Lookup()). */
+    void addL1Lookups(std::uint64_t n) { l1Lookups_ += n; }
 
     /** Count one L2-TLB-bound message (lookup + traversal). */
     void
@@ -100,15 +96,27 @@ class TranslationEnergyModel
         leakagePj_ += total_tlb_mw * 0.5 * static_cast<double>(cycles);
     }
 
-    double dynamicPj() const { return dynamicPj_; }
+    double
+    dynamicPj() const
+    {
+        return dynamicPj_ +
+               l1TlbLookupPj * static_cast<double>(l1Lookups_);
+    }
     double leakagePj() const { return leakagePj_; }
-    double totalPj() const { return dynamicPj_ + leakagePj_; }
+    double totalPj() const { return dynamicPj() + leakagePj_; }
 
-    void reset() { dynamicPj_ = leakagePj_ = 0; }
+    void
+    reset()
+    {
+        dynamicPj_ = leakagePj_ = 0;
+        l1Lookups_ = 0;
+    }
 
   private:
+    /** Dynamic energy of everything but L1 probes. */
     double dynamicPj_ = 0;
     double leakagePj_ = 0;
+    std::uint64_t l1Lookups_ = 0;
 };
 
 } // namespace nocstar::energy

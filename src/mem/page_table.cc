@@ -58,45 +58,8 @@ PageTable::regionIndexFor(ContextId ctx, Addr vaddr)
 }
 
 Translation
-PageTable::translate(ContextId ctx, Addr vaddr)
+PageTable::translationOf(const Region &region, Addr vaddr)
 {
-    RegionKey key = regionKey(ctx, vaddr);
-    RegionMemo &m = memoSlot(key);
-    const Region *region = nullptr;
-    if (m.key == key && m.index < regionPool_.size()) {
-        const Region &r = regionPool_[m.index];
-        if (r.version == m.version)
-            region = &r;
-    }
-    if (!region) {
-        std::uint32_t index = regionIndexFor(ctx, vaddr);
-        m = RegionMemo{key, index, regionPool_[index].version};
-        region = &regionPool_[index];
-    }
-
-    Translation result;
-    result.version = region->version;
-    if (region->superpage) {
-        result.size = PageSize::TwoMB;
-        result.ppn = region->frame;
-    } else {
-        result.size = PageSize::FourKB;
-        // 512 4 KB pages per 2 MB frame.
-        Addr offset_in_region =
-            (vaddr >> pageShift(PageSize::FourKB)) & 0x1ff;
-        result.ppn = (region->frame << 9) | offset_in_region;
-    }
-    return result;
-}
-
-std::optional<Translation>
-PageTable::peek(ContextId ctx, Addr vaddr) const
-{
-    RegionKey key = regionKey(ctx, vaddr);
-    const std::uint32_t *index = regionIndex_.find(key);
-    if (!index)
-        return std::nullopt;
-    const Region &region = regionPool_[*index];
     Translation result;
     result.version = region.version;
     if (region.superpage) {
@@ -104,11 +67,53 @@ PageTable::peek(ContextId ctx, Addr vaddr) const
         result.ppn = region.frame;
     } else {
         result.size = PageSize::FourKB;
+        // 512 4 KB pages per 2 MB frame.
         Addr offset_in_region =
             (vaddr >> pageShift(PageSize::FourKB)) & 0x1ff;
         result.ppn = (region.frame << 9) | offset_in_region;
     }
     return result;
+}
+
+Translation
+PageTable::translate(ContextId ctx, Addr vaddr)
+{
+    RegionKey key = regionKey(ctx, vaddr);
+    RegionMemo &m = memoSlot(key);
+    std::int64_t index = memoIndex(m, key);
+    if (index < 0) {
+        std::uint32_t fresh = regionIndexFor(ctx, vaddr);
+        m = RegionMemo{key, fresh, regionPool_[fresh].version};
+        index = fresh;
+    }
+    return translationOf(regionPool_[static_cast<std::size_t>(index)],
+                         vaddr);
+}
+
+std::optional<Translation>
+PageTable::peek(ContextId ctx, Addr vaddr) const
+{
+    const std::uint32_t *index = regionIndex_.find(regionKey(ctx, vaddr));
+    if (!index)
+        return std::nullopt;
+    return translationOf(regionPool_[*index], vaddr);
+}
+
+std::optional<Translation>
+PageTable::peekMemo(ContextId ctx, Addr vaddr)
+{
+    RegionKey key = regionKey(ctx, vaddr);
+    RegionMemo &m = memoSlot(key);
+    std::int64_t index = memoIndex(m, key);
+    if (index < 0) {
+        const std::uint32_t *found = regionIndex_.find(key);
+        if (!found)
+            return std::nullopt;
+        m = RegionMemo{key, *found, regionPool_[*found].version};
+        index = *found;
+    }
+    return translationOf(regionPool_[static_cast<std::size_t>(index)],
+                         vaddr);
 }
 
 WalkLines

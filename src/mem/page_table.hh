@@ -92,6 +92,14 @@ class PageTable
     std::optional<Translation> peek(ContextId ctx, Addr vaddr) const;
 
     /**
+     * peek() through the region memo: a memo hit skips the index
+     * probe, and a region found in the index refills the memo as
+     * translate() would. Never allocates. The detailed engine's
+     * run-ahead probes every access past the first this way.
+     */
+    std::optional<Translation> peekMemo(ContextId ctx, Addr vaddr);
+
+    /**
      * Walk reference line addresses for @p vaddr: 4 lines for a 4 KB
      * mapping (PML4E..PTE), 3 for a 2 MB mapping (stops at the PDE).
      */
@@ -197,6 +205,19 @@ class PageTable
     }
 
     bool regionWantsSuperpage(ContextId ctx, RegionKey key) const;
+
+    /** Pool index of @p key's region if the memo holds it, else -1. */
+    std::int64_t
+    memoIndex(const RegionMemo &m, RegionKey key) const
+    {
+        if (m.key == key && m.index < regionPool_.size() &&
+            regionPool_[m.index].version == m.version)
+            return m.index;
+        return -1;
+    }
+
+    /** The translation of @p vaddr inside @p region. */
+    static Translation translationOf(const Region &region, Addr vaddr);
 
     double superpageFraction_;
     std::uint64_t seed_;

@@ -48,15 +48,55 @@ EventQueue::schedule(Event *ev, Cycle when)
 
     TRACE(EventQ, "schedule event prio ", ev->priority(), " for cycle ",
           when);
+    enqueue(ev, when, nextKey());
+}
+
+std::uint64_t
+EventQueue::nextKey()
+{
+    syncKeyCycle();
+    if (keyCounter_ >= keyAheadBase)
+        fatal("event queue: more than ", keyAheadBase,
+              " events scheduled in cycle ", _curCycle);
+    return (_curCycle << keyCycleShift) |
+           (keyDispatch_ << keyCounterBits) | keyCounter_++;
+}
+
+void
+EventQueue::scheduleAhead(Event *ev, Cycle when, Cycle at, Cycle parent,
+                          std::uint32_t tie)
+{
+    if (ev->_scheduled)
+        panic("double schedule of event already queued for cycle ",
+              ev->_when);
+    if (!(_curCycle <= parent && parent < at && at <= when))
+        panic("scheduleAhead needs curCycle <= parent < at <= when, got ",
+              _curCycle, ", ", parent, ", ", at, ", ", when);
+    if (tie >= keyAheadBase)
+        fatal("event queue: scheduleAhead tie ", tie, " exceeds ",
+              keyAheadBase - 1);
+    checkKeyCycle(at);
+    TRACE(EventQ, "schedule event prio ", ev->priority(), " for cycle ",
+          when, " as if from cycle ", at);
+    enqueue(ev, when,
+            (at << keyCycleShift) |
+                (dispatchField(ev->priority(), at, parent)
+                 << keyCounterBits) |
+                (keyAheadBase + tie));
+}
+
+void
+EventQueue::enqueue(Event *ev, Cycle when, std::uint64_t key)
+{
     ev->_scheduled = true;
     ev->_when = when;
     ++ev->_generation;
     if (when - _curCycle < wheelSize)
-        pushToWheel(when, WheelRecord{ev->priority(), _nextSeq++,
-                                      ev->_generation, ev});
+        pushToWheel(when,
+                    WheelRecord{ev->priority(), key, ev->_generation, ev});
     else
-        overflow_.push(Record{when, ev->priority(), _nextSeq++,
-                              ev->_generation, ev});
+        overflow_.push(
+            Record{when, ev->priority(), key, ev->_generation, ev});
     ++_numScheduled;
 }
 
@@ -118,37 +158,6 @@ EventQueue::nextEventCycle() const
     return next;
 }
 
-bool
-EventQueue::quietUntil(Cycle when) const
-{
-    if (when - _curCycle >= wheelSize)
-        return false; // window leaves the horizon: report conservatively
-    if (!overflow_.empty() && overflow_.top().when <= when)
-        return false;
-    // Check the occupancy bits of every bucket in [_curCycle, when].
-    // Bucket bits are maintained precisely (cleared the moment a bucket
-    // drains, even mid-processCycle), so a clear window really means
-    // nothing -- live or stale -- is pending there.
-    std::size_t start = _curCycle & wheelMask;
-    std::size_t n = static_cast<std::size_t>(when - _curCycle) + 1;
-    std::size_t word = start >> 6;
-    std::uint64_t bits = occupied_[word] >> (start & 63);
-    std::size_t avail = 64 - (start & 63);
-    for (;;) {
-        if (n <= avail) {
-            std::uint64_t keep =
-                n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-            return (bits & keep) == 0;
-        }
-        if (bits)
-            return false;
-        n -= avail;
-        word = (word + 1) & (wheelWords - 1);
-        bits = occupied_[word];
-        avail = 64;
-    }
-}
-
 Cycle
 EventQueue::firstBusyCycle(Cycle when) const
 {
@@ -191,6 +200,16 @@ EventQueue::processCycle(Cycle cycle)
         occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
     };
 
+    syncKeyCycle();
+    // Schedules made by a dispatched event are keyed after it: the
+    // field only grows within a cycle, so keys stay in call order.
+    auto note_dispatch = [&](const WheelRecord &rec) {
+        std::uint64_t field = dispatchField(
+            rec.priority, cycle, rec.seq >> keyCycleShift);
+        if (field > keyDispatch_)
+            keyDispatch_ = field;
+    };
+
     // Fast path: schedule() appends in seq order, so a bucket whose
     // records run (priority, seq)-non-decreasing front to back is
     // already in dispatch order and can be consumed by cursor.
@@ -216,8 +235,8 @@ EventQueue::processCycle(Cycle cycle)
         --wheelCount_;
         if (cursor == bucket.size()) {
             // Drain the bucket *before* dispatching its last record:
-            // handlers (and the hit-streak bypass they host) observe
-            // precise occupancy for this cycle.
+            // handlers (and the window engine's shard-local hit
+            // streaks) observe precise occupancy for this cycle.
             bucket.clear();
             cursor = 0;
             sorted = 0;
@@ -229,6 +248,7 @@ EventQueue::processCycle(Cycle cycle)
         ev->_scheduled = false;
         ev->_when = invalidCycle;
         --_numScheduled;
+        note_dispatch(rec);
         TRACE(EventQ, "process event prio ", rec.priority, " seq ",
               rec.seq);
         ev->process();
@@ -264,6 +284,7 @@ EventQueue::processCycle(Cycle cycle)
         ev->_scheduled = false;
         ev->_when = invalidCycle;
         --_numScheduled;
+        note_dispatch(rec);
         TRACE(EventQ, "process event prio ", rec.priority, " seq ",
               rec.seq);
         ev->process();

@@ -16,6 +16,16 @@
  * the wheel as the clock approaches them. Processing order is exactly
  * (cycle, priority, schedule order), identical to a single global
  * priority queue.
+ *
+ * "Schedule order" is an order key packed into one 64-bit word rather
+ * than a global counter: [scheduling cycle | dispatcher band |
+ * dispatcher age | per-cycle counter]. Within a cycle, the band and
+ * age of the event being dispatched never decrease and the counter
+ * always grows, so for ordinary schedule() calls the key order is the
+ * order of the calls themselves. The extra fields let scheduleAhead()
+ * place a record as if it had been scheduled at a future cycle by a
+ * dispatch that never ran as an event (see DESIGN.md, "Per-thread
+ * run-ahead").
  */
 
 #ifndef NOCSTAR_SIM_EVENT_QUEUE_HH
@@ -137,32 +147,42 @@ class EventQueue
     Cycle nextEventCycle() const;
 
     /**
-     * @return true when no record (live or stale) is pending anywhere
-     * in [curCycle(), @p when], and the overflow heap holds nothing at
-     * or before @p when. Conservative: stale records count as pending.
-     * Windows reaching beyond the wheel horizon report false.
+     * Schedule @p ev at @p when with the order key it would have had
+     * if a dispatch of @p ev at cycle @p at -- a dispatch that was
+     * itself scheduled at cycle @p parent -- had scheduled it. Used by
+     * a thread that ran its accesses ahead of the clock inline: among
+     * records for the same cycle and priority, the result sorts after
+     * every record scheduled before cycle @p at and before every
+     * record scheduled after it. Against records scheduled in cycle
+     * @p at itself it sorts by the age (at - parent) of its notional
+     * dispatcher, exactly as a real dispatch would have, and after
+     * those whose dispatcher had the same age; @p tie orders two
+     * such records that share (at, parent).
+     *
+     * Preconditions: curCycle() <= parent < at <= when.
      */
-    bool quietUntil(Cycle when) const;
+    void scheduleAhead(Event *ev, Cycle when, Cycle at, Cycle parent,
+                       std::uint32_t tie);
 
     /**
      * Earliest cycle in [curCycle(), @p when] holding any pending
      * record (live or stale), or invalidCycle when that whole span is
-     * quiet. The shard window loop uses this instead of quietUntil()
-     * so a broken quiescence check reports *which* cycle broke it and
-     * execution can resume there rather than re-scanning from
-     * curCycle(). Unlike quietUntil() this is exact even when @p when
-     * lies beyond the wheel horizon: every wheel record is within the
-     * horizon by construction and the overflow heap's head covers the
-     * rest.
+     * quiet. The shard window loop uses this so a broken quiescence
+     * check reports *which* cycle broke it and execution can resume
+     * there rather than re-scanning from curCycle(). Exact even when
+     * @p when lies beyond the wheel horizon: every wheel record is
+     * within the horizon by construction and the overflow heap's head
+     * covers the rest.
      */
     Cycle firstBusyCycle(Cycle when) const;
 
     /**
      * Advance the clock to @p when without processing anything.
      * Precondition: no pending record sits strictly before @p when
-     * (e.g. quietUntil(when) held); violating it would strand wheel
-     * records behind the clock. Used by the hit-streak bypass, which
-     * establishes the precondition via quietUntil().
+     * (e.g. firstBusyCycle(when) found none); violating it would
+     * strand wheel records behind the clock. Used by fast-forward and
+     * checkpoint restore (empty queue) and by the window engine's
+     * shard-local hit streaks.
      */
     void
     advanceTo(Cycle when)
@@ -198,6 +218,68 @@ class EventQueue
     std::size_t allocatedLambdaEvents() const { return lambdaAll_.size(); }
 
   private:
+    // Order-key layout, most significant first.
+    static constexpr unsigned keyCounterBits = 18;
+    static constexpr unsigned keyAgeBits = 8;
+    static constexpr unsigned keyBandBits = 2;
+    static constexpr unsigned keyCycleShift =
+        keyCounterBits + keyAgeBits + keyBandBits;
+    /** Counter values from here up are reserved for scheduleAhead(). */
+    static constexpr std::uint64_t keyAheadBase =
+        std::uint64_t{1} << (keyCounterBits - 1);
+    static constexpr std::uint64_t keyMaxAge =
+        (std::uint64_t{1} << keyAgeBits) - 1;
+
+    /** Monotone map of a priority onto the key's band field. */
+    static std::uint64_t
+    bandOf(Event::Priority prio)
+    {
+        return prio < Event::defaultPriority ? 0
+            : prio == Event::defaultPriority ? 1
+            : prio < Event::lastPriority     ? 2
+                                             : 3;
+    }
+
+    /**
+     * [band | age] field of a record dispatched at @p cycle: a larger
+     * field means a later dispatch (older records go first, so the
+     * age is stored inverted, saturating at keyMaxAge).
+     */
+    static std::uint64_t
+    dispatchField(Event::Priority prio, Cycle cycle, Cycle scheduled_at)
+    {
+        Cycle age = cycle - scheduled_at;
+        return (bandOf(prio) << keyAgeBits) |
+               (keyMaxAge - (age < keyMaxAge ? age : keyMaxAge));
+    }
+
+    /** Order key of an ordinary schedule() call at the current cycle. */
+    std::uint64_t nextKey();
+
+    /** fatal() unless @p cycle fits the order key's cycle field. */
+    static void
+    checkKeyCycle(Cycle cycle)
+    {
+        if (cycle >> (64 - keyCycleShift))
+            fatal("event queue: cycle ", cycle, " exceeds the order key's ",
+                  64 - keyCycleShift, "-bit cycle field");
+    }
+
+    /** Restart the per-cycle key state when the clock has moved. */
+    void
+    syncKeyCycle()
+    {
+        if (keyCycle_ != _curCycle) {
+            checkKeyCycle(_curCycle);
+            keyCycle_ = _curCycle;
+            keyCounter_ = 0;
+            keyDispatch_ = 0;
+        }
+    }
+
+    /** Insert a record for @p ev (already marked scheduled). */
+    void enqueue(Event *ev, Cycle when, std::uint64_t key);
+
     /** Wheel span in cycles; must be a power of two. */
     static constexpr std::size_t wheelSize = 4096;
     static constexpr std::size_t wheelMask = wheelSize - 1;
@@ -235,6 +317,8 @@ class EventQueue
         std::uint64_t generation;
         Event *event;
     };
+    static_assert(sizeof(WheelRecord) == 32,
+                  "32-byte records keep bucket scans dense");
 
     /** Put a record for cycle @p when (within the horizon) in its bucket. */
     void pushToWheel(Cycle when, const WheelRecord &rec);
@@ -290,7 +374,12 @@ class EventQueue
     std::priority_queue<Record, std::vector<Record>, std::greater<>>
         overflow_;
     Cycle _curCycle = 0;
-    std::uint64_t _nextSeq = 0;
+    /** Cycle the key counter and dispatch field below belong to. */
+    Cycle keyCycle_ = 0;
+    /** Ordinary schedule() calls so far in keyCycle_. */
+    std::uint64_t keyCounter_ = 0;
+    /** Largest [band | age] field dispatched so far in keyCycle_. */
+    std::uint64_t keyDispatch_ = 0;
     std::size_t _numScheduled = 0;
     /** Recycled lambda events ready for the next scheduleLambda(). */
     std::vector<PooledLambdaEvent *> lambdaFree_;

@@ -70,7 +70,7 @@ class L1TlbGroup : public stats::StatGroup
      * exactly like lookup() but counts no hits/misses, so warming
      * leaves the measured stats untouched.
      */
-    const TlbEntry *
+    bool
     touch(ContextId ctx, PageNum vpn, PageSize size)
     {
         return arrayFor(size).touch(ctx, vpn, size);
@@ -82,20 +82,16 @@ class L1TlbGroup : public stats::StatGroup
      * the page size first just to pick the array would make the page
      * table the bottleneck). Each array only ever holds entries of its
      * own size, so a hit here mutates exactly what touch() with the
-     * translated size would.
+     * translated size would. Reports only hit or miss.
      */
-    const TlbEntry *
+    bool
     touchAnySize(ContextId ctx, Addr vaddr)
     {
-        if (const TlbEntry *entry = tlb4k_->touch(
-                ctx, pageNumber(vaddr, PageSize::FourKB),
-                PageSize::FourKB))
-            return entry;
-        if (const TlbEntry *entry = tlb2m_->touch(
-                ctx, pageNumber(vaddr, PageSize::TwoMB),
-                PageSize::TwoMB))
-            return entry;
-        return tlb1g_->touch(ctx, pageNumber(vaddr, PageSize::OneGB),
+        return tlb4k_->touch(ctx, pageNumber(vaddr, PageSize::FourKB),
+                             PageSize::FourKB) ||
+               tlb2m_->touch(ctx, pageNumber(vaddr, PageSize::TwoMB),
+                             PageSize::TwoMB) ||
+               tlb1g_->touch(ctx, pageNumber(vaddr, PageSize::OneGB),
                              PageSize::OneGB);
     }
 

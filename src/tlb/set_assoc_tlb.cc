@@ -293,16 +293,16 @@ SetAssocTlb::present(ContextId ctx, PageNum vpn, PageSize size) const
     return static_cast<bool>(find(ctx, vpn, size));
 }
 
-const TlbEntry *
+bool
 SetAssocTlb::touch(ContextId ctx, PageNum vpn, PageSize size)
 {
-    return entryAt(warm(find(ctx, vpn, size)));
+    return static_cast<bool>(warm(find(ctx, vpn, size)));
 }
 
-const TlbEntry *
+bool
 SetAssocTlb::touchAnySize(ContextId ctx, Addr vaddr)
 {
-    return entryAt(warm(findAnySize(ctx, vaddr)));
+    return static_cast<bool>(warm(findAnySize(ctx, vaddr)));
 }
 
 void

@@ -38,7 +38,7 @@ namespace nocstar::tlb
  * PageSize, and lookupAnySize() probes 4 KB, then 2 MB, then 1 GB the
  * way a mixed-granularity L2 TLB does.
  *
- * Entry pointers returned by the lookup and touch calls point at a
+ * Entry pointers returned by the lookup calls point at a
  * per-array scratch entry rebuilt on every hit: they stay valid only
  * until the next call on the same array, so callers copy the entry.
  */
@@ -95,12 +95,15 @@ class SetAssocTlb : public stats::StatGroup
      * Functional-warming probe: behaves like a demand lookup for the
      * array *state* (refreshes recency, consumes the prefetched bit)
      * but counts nothing, so fast-forwarded accesses leave every
-     * RunResult-visible statistic untouched.
+     * RunResult-visible statistic untouched. Reports only hit or miss.
      */
-    const TlbEntry *touch(ContextId ctx, PageNum vpn, PageSize size);
+    bool touch(ContextId ctx, PageNum vpn, PageSize size);
 
-    /** Functional-warming counterpart of lookupAnySize(). */
-    const TlbEntry *touchAnySize(ContextId ctx, Addr vaddr);
+    /**
+     * Functional-warming counterpart of lookupAnySize(), reporting
+     * only hit or miss (no entry is rebuilt).
+     */
+    bool touchAnySize(ContextId ctx, Addr vaddr);
 
     /**
      * Serialize the mutable array state (key, stamp and ppn word of

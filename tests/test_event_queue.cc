@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -316,69 +318,6 @@ TEST(EventQueue, NextEventCycleHeadAtCurrentCycle)
     EXPECT_EQ(seen, 7u);
 }
 
-TEST(EventQueue, QuietUntilBoundsAndStrictness)
-{
-    EventQueue queue;
-    // Empty queue: quiet anywhere inside the wheel horizon, but the
-    // check refuses windows reaching the horizon (can't prove them).
-    EXPECT_TRUE(queue.quietUntil(0));
-    EXPECT_TRUE(queue.quietUntil(4094));
-    EXPECT_FALSE(queue.quietUntil(4096));
-
-    std::vector<int> log;
-    CountingEvent a(&log, 1);
-    queue.schedule(&a, 50);
-    EXPECT_TRUE(queue.quietUntil(49));   // window excludes the event
-    EXPECT_FALSE(queue.quietUntil(50));  // window includes it
-    EXPECT_FALSE(queue.quietUntil(51));
-
-    // Overflow-heap events bound the quiet window too. Run past the
-    // descheduled record first: run() never visits stale buckets on
-    // its own, so a live event at 60 drags the scan (and the bit
-    // clearing) across bucket 50.
-    queue.deschedule(&a);
-    queue.scheduleLambda(60, [] {});
-    EXPECT_EQ(queue.run(), 1u);
-    EXPECT_TRUE(log.empty());
-    EXPECT_EQ(queue.curCycle(), 60u);
-    queue.scheduleLambda(queue.curCycle() + 100000, [] {});
-    EXPECT_TRUE(queue.quietUntil(queue.curCycle() + 4000));
-    EXPECT_FALSE(queue.quietUntil(queue.curCycle() + 100000));
-}
-
-TEST(EventQueue, QuietUntilStaleRecordIsConservative)
-{
-    // A descheduled record leaves its bucket bit set until the scan
-    // reaches it; quietUntil() may answer false (conservative), but
-    // must never answer true past a *live* event hiding behind it.
-    EventQueue queue;
-    std::vector<int> log;
-    CountingEvent stale(&log, 1), live(&log, 2);
-    queue.schedule(&stale, 30);
-    queue.schedule(&live, 40);
-    queue.deschedule(&stale);
-    EXPECT_FALSE(queue.quietUntil(40));
-    EXPECT_FALSE(queue.quietUntil(4095));
-    queue.deschedule(&live);
-}
-
-TEST(EventQueue, QuietUntilPreciseDuringDispatch)
-{
-    // The bypass fires from *inside* a dispatched step event, so the
-    // current bucket's occupancy bit must already be clear when the
-    // bucket's last record is being processed -- and still set while
-    // a same-cycle sibling waits.
-    EventQueue queue;
-    std::vector<bool> quiet;
-    queue.scheduleLambda(10, [&] { quiet.push_back(queue.quietUntil(20)); });
-    queue.scheduleLambda(10, [&] { quiet.push_back(queue.quietUntil(20)); });
-    queue.scheduleLambda(30, [] {});
-    queue.run();
-    // First dispatch: sibling at 10 still pending -> not quiet.
-    // Second dispatch: bucket drained, next event at 30 -> quiet to 20.
-    EXPECT_EQ(quiet, (std::vector<bool>{false, true}));
-}
-
 TEST(EventQueue, AdvanceToMovesClockAndRejectsPast)
 {
     EventQueue queue;
@@ -398,13 +337,12 @@ TEST(EventQueue, AdvanceToMovesClockAndRejectsPast)
 
 TEST(EventQueue, AdvanceToInsideDispatchSkipsQuietCycles)
 {
-    // The bypass pattern end-to-end: an event checks the queue is
-    // quiet, advances the clock over the gap, and the queue resumes
-    // exact dispatch from the new cycle.
+    // An event finds the queue quiet, advances the clock over the gap,
+    // and the queue resumes exact dispatch from the new cycle.
     EventQueue queue;
     std::vector<Cycle> fired;
     queue.scheduleLambda(5, [&] {
-        ASSERT_TRUE(queue.quietUntil(24));
+        ASSERT_EQ(queue.firstBusyCycle(24), invalidCycle);
         queue.advanceTo(24);
         queue.scheduleLambda(25, [&] { fired.push_back(queue.curCycle()); });
     });
@@ -412,4 +350,127 @@ TEST(EventQueue, AdvanceToInsideDispatchSkipsQuietCycles)
     queue.run();
     EXPECT_EQ(fired, (std::vector<Cycle>{25, 25}));
     EXPECT_EQ(queue.curCycle(), 25u);
+}
+
+// ---------------------------------------------------------------------
+// Order keys: ordinary schedules keep call order; scheduleAhead()
+// places a record as if a dispatch at a future cycle had made it.
+
+TEST(EventQueue, RealScheduleOrderIsCallOrder)
+{
+    // Records for one cycle scheduled from different cycles, from
+    // dispatches of different priority and age, and from outside any
+    // dispatch all run in the order the schedule() calls were made.
+    EventQueue queue;
+    std::vector<int> log;
+    std::vector<std::unique_ptr<CountingEvent>> evs;
+    int next_id = 0;
+    auto target = [&] {
+        evs.push_back(std::make_unique<CountingEvent>(&log, next_id++));
+        queue.schedule(evs.back().get(), 200);
+    };
+    target();                                    // 0: outside a dispatch
+    queue.scheduleLambda(50, [&] { target(); }); // 1
+    // Cycle 60 dispatches an old default-priority event (scheduled at
+    // 0), a younger one (scheduled at 3), the first one's same-cycle
+    // child, then a lastPriority event.
+    queue.scheduleLambda(60, [&] { target(); }, Event::lastPriority); // 5
+    queue.scheduleLambda(60, [&] {
+        target();                                        // 2
+        queue.scheduleLambda(60, [&] { target(); });     // 4
+    });
+    queue.scheduleLambda(3, [&] {
+        queue.scheduleLambda(60, [&] { target(); });     // 3
+    });
+    queue.run(100);
+    target(); // 6: outside a dispatch, after run() stopped at cycle 100
+    queue.run();
+    // Ids follow call order, so the log must be sorted.
+    std::vector<int> sorted = log;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(log, sorted);
+    EXPECT_EQ(log.size(), 7u);
+}
+
+TEST(EventQueue, AheadRecordLandsBeforeLaterSchedules)
+{
+    // At cycle 10 a step stamps a record for cycle 100 as if made by a
+    // dispatch at cycle 40 (itself scheduled at 30). It must run after
+    // a record scheduled (really) at cycle 20 and before records
+    // scheduled at cycles 41 and 100, though all of those calls came
+    // later in wall-clock order.
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent ahead(&log, 40), at20(&log, 20), at41(&log, 41),
+        at100(&log, 100);
+    queue.scheduleLambda(10, [&] {
+        queue.scheduleAhead(&ahead, 100, 40, 30, 0);
+    });
+    queue.scheduleLambda(20, [&] { queue.schedule(&at20, 100); });
+    queue.scheduleLambda(41, [&] { queue.schedule(&at41, 100); });
+    queue.scheduleLambda(100, [&] { queue.schedule(&at100, 100); });
+    queue.run();
+    EXPECT_EQ(log, (std::vector<int>{20, 40, 41, 100}));
+}
+
+TEST(EventQueue, AheadRecordSortsByDispatcherAgeWithinItsCycle)
+{
+    // Records made in cycle 40 itself, against one stamped as made by
+    // a dispatch at 40 that was scheduled at 30: a default-priority
+    // dispatcher scheduled at 5 (older) goes first, one scheduled at
+    // 39 (younger) after, and an arbitration-priority dispatcher after
+    // both whatever its age.
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent ahead(&log, 0), old_child(&log, 1), young_child(&log, 2),
+        arb_child(&log, 3);
+    queue.scheduleLambda(1, [&] {
+        queue.scheduleAhead(&ahead, 90, 40, 30, 0);
+        queue.scheduleLambda(
+            40, [&] { queue.schedule(&arb_child, 90); },
+            Event::arbitrationPriority);
+    });
+    queue.scheduleLambda(5, [&] {
+        queue.scheduleLambda(40, [&] { queue.schedule(&old_child, 90); });
+    });
+    queue.scheduleLambda(39, [&] {
+        queue.scheduleLambda(40,
+                             [&] { queue.schedule(&young_child, 90); });
+    });
+    queue.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 0, 2, 3}));
+}
+
+TEST(EventQueue, AheadRecordsWithEqualStampsOrderByTie)
+{
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent a(&log, 7), b(&log, 3);
+    queue.scheduleAhead(&a, 60, 50, 45, 7);
+    queue.scheduleAhead(&b, 60, 50, 45, 3);
+    queue.run();
+    EXPECT_EQ(log, (std::vector<int>{3, 7}));
+}
+
+TEST(EventQueue, CycleBeyondTheOrderKeyIsFatal)
+{
+    // The order key holds a 36-bit scheduling cycle; past it, ordering
+    // would silently wrap, so scheduling refuses.
+    EventQueue queue;
+    queue.advanceTo(Cycle{1} << 36);
+    EXPECT_THROW(queue.scheduleLambda(queue.curCycle() + 1, [] {}),
+                 FatalError);
+}
+
+TEST(EventQueue, AheadRejectsInconsistentStamps)
+{
+    EventQueue queue;
+    std::vector<int> log;
+    CountingEvent a(&log, 1);
+    queue.advanceTo(10);
+    EXPECT_THROW(queue.scheduleAhead(&a, 60, 50, 9, 0), PanicError);
+    EXPECT_THROW(queue.scheduleAhead(&a, 60, 50, 50, 0), PanicError);
+    EXPECT_THROW(queue.scheduleAhead(&a, 40, 50, 45, 0), PanicError);
+    EXPECT_THROW(queue.scheduleAhead(&a, 60, 10, 10, 0), PanicError);
+    EXPECT_FALSE(a.scheduled());
 }

@@ -134,9 +134,9 @@ TEST(FirstBusyCycle, ReportsTheCycleThatBrokeQuiescence)
 
 TEST(FirstBusyCycle, StaleRecordsStillCount)
 {
-    // A descheduled event leaves a stale wheel record; like
-    // quietUntil(), the probe must report it (conservative for the
-    // bypass, exact for the wheel's occupancy).
+    // A descheduled event leaves a stale wheel record; the probe must
+    // report it (conservative for the shard-local hit streaks, exact
+    // for the wheel's occupancy).
     EventQueue queue;
     NopEvent ev;
     queue.schedule(&ev, 77);
@@ -146,13 +146,11 @@ TEST(FirstBusyCycle, StaleRecordsStillCount)
 
 TEST(FirstBusyCycle, ExactBeyondTheWheelHorizon)
 {
-    // quietUntil() reports false for any window leaving the 4096-cycle
-    // wheel horizon; firstBusyCycle() stays exact out there because
+    // Windows leaving the 4096-cycle wheel horizon stay exact because
     // the overflow heap's head bounds everything beyond the wheel.
     EventQueue queue;
     NopEvent far;
     queue.schedule(&far, 100000); // overflow heap
-    EXPECT_FALSE(queue.quietUntil(50000));
     EXPECT_EQ(queue.firstBusyCycle(50000), invalidCycle);
     EXPECT_EQ(queue.firstBusyCycle(100000), 100000u);
     queue.deschedule(&far);
