@@ -187,6 +187,21 @@ class ArgParser
         return *this;
     }
 
+    /**
+     * Accept `--jobs N` and discard it, for benches that run no sweep:
+     * a suite runner can pass one command line to every bench binary.
+     */
+    ArgParser &
+    ignoredJobs()
+    {
+        return valueSpec("jobs", "N",
+                         "accepted and ignored: this bench runs no sweep",
+                         [](const std::string &v) {
+                             std::uint64_t unused = 0;
+                             return parseUnsigned(v, unused);
+                         });
+    }
+
     // -- Positionals (filled left to right in registration order) ----
 
     ArgParser &

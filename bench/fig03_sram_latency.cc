@@ -21,6 +21,7 @@ programMain(int argc, char **argv)
     nocstar::bench::ArgParser parser(
         "fig03_sram_latency",
         "Fig 3: SRAM TLB access latency vs size (analytic model)");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
     std::printf("Fig 3: SRAM TLB access latency vs size "
                 "(1x = %llu entries)\n",

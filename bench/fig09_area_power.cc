@@ -22,6 +22,7 @@ programMain(int argc, char **argv)
     nocstar::bench::ArgParser parser(
         "fig09_area_power",
         "Fig 9: place-and-routed NOCSTAR tile area/power budget");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
     std::printf("Fig 9: place-and-routed NOCSTAR tile budget (28 nm, "
                 "2 GHz)\n");

@@ -22,6 +22,7 @@ programMain(int argc, char **argv)
     nocstar::bench::ArgParser parser(
         "fig11a_latency_vs_hops",
         "Fig 11a: translation latency vs hop count per organization");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
     // 32-core equivalents: the monolithic array is 32x1536 entries,
     // slices are ~1K entries.

@@ -21,6 +21,7 @@ programMain(int argc, char **argv)
     nocstar::bench::ArgParser parser(
         "fig11b_energy_vs_hops",
         "Fig 11b: energy per message vs hop count");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
     std::printf("Fig 11b: energy per message (pJ): link/switch/control/"
                 "sram = total\n");

@@ -92,6 +92,7 @@ programMain(int argc, char **argv)
     parser.positional("HORIZON", &horizon,
                       "simulated cycles per injection rate "
                       "(default 20000)");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
 
     std::printf("Fig 11c: 64-node uniform random traffic\n");

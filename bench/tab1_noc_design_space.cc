@@ -25,6 +25,7 @@ programMain(int argc, char **argv)
         "tab1_noc_design_space",
         "Table I: TLB interconnect design choices (analytic model)");
     parser.positional("CORES", &cores, "tile count (default 64)");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
 
     DesignSpace space(cores, 16);

@@ -25,6 +25,7 @@ programMain(int argc, char **argv)
         "tab2_configurations",
         "Table II: simulated last-level TLB configurations");
     parser.positional("CORES", &cores, "core count (default 32)");
+    parser.ignoredJobs();
     parser.parseOrExit(argc, argv);
     unsigned banks = cores >= 64 ? 8 : 4;
 

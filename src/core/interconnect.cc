@@ -102,6 +102,38 @@ Interconnect::~Interconnect()
 {
     if (arbitrationEvent_.scheduled())
         queue_.deschedule(&arbitrationEvent_);
+    // Messages granted or degraded but not yet delivered sit on the
+    // queue; queued ones are only referenced from the request rings.
+    for (const std::unique_ptr<Message> &msg : messages_)
+        if (msg->scheduled())
+            queue_.deschedule(msg.get());
+}
+
+void
+Interconnect::Message::process()
+{
+    // The continuation runs where it sits: this message stays off the
+    // free list until it returns, so a send() from inside it takes
+    // another message and never overwrites the running closure.
+    if (degraded) {
+        // Flag the delivery as degraded for its whole (synchronous)
+        // callback, so continuations can tag the translation result.
+        owner_.deliveringDegraded_ = true;
+        deliver(arrival);
+        owner_.deliveringDegraded_ = false;
+    } else {
+        deliver(arrival);
+    }
+    deliver = nullptr;
+    degraded = false;
+    owner_.messageFree_.push_back(this);
+}
+
+Interconnect::Message *
+Interconnect::newMessage()
+{
+    messages_.push_back(std::make_unique<Message>(*this));
+    return messages_.back().get();
 }
 
 void
@@ -117,39 +149,33 @@ Interconnect::scheduleArbitration(Cycle when)
 }
 
 void
-Interconnect::send(CoreId src, CoreId dst, Cycle now, DeliverFn deliver)
+Interconnect::post(Message *msg, CoreId src, CoreId dst, Cycle now,
+                   Cycle holdExtra, bool roundTrip)
 {
-    if (src == dst) {
-        deliver(now);
-        return;
-    }
     Cycle active = std::max(now, queue_.curCycle());
-    TRACE(Fabric, "post one-way ", src, " -> ", dst, " active at ",
-          active);
-    pending_[src].push_back(Request{src, dst, active, active, 0,
-                                    false, 0, std::move(deliver)});
+    if (roundTrip)
+        TRACE(Fabric, "post round-trip ", src, " -> ", dst,
+              " occupancy ", holdExtra, " active at ", active);
+    else
+        TRACE(Fabric, "post one-way ", src, " -> ", dst, " active at ",
+              active);
+    pending_[src].push_back(Request{src, dst, active, active, holdExtra,
+                                    roundTrip, 0, msg});
     pendingBits_[src >> 6] |= std::uint64_t{1} << (src & 63);
     ++numPending_;
     scheduleArbitration(active);
 }
 
 void
-Interconnect::sendRoundTrip(CoreId src, CoreId dst, Cycle now,
-                            Cycle occupancy, DeliverFn deliver)
+Interconnect::retireHead(CoreId src, Cycle now)
 {
-    if (src == dst) {
-        deliver(now);
-        return;
-    }
-    Cycle active = std::max(now, queue_.curCycle());
-    TRACE(Fabric, "post round-trip ", src, " -> ", dst, " occupancy ",
-          occupancy, " active at ", active);
-    pending_[src].push_back(Request{src, dst, active, active,
-                                    occupancy, true, 0,
-                                    std::move(deliver)});
-    pendingBits_[src >> 6] |= std::uint64_t{1} << (src & 63);
-    ++numPending_;
-    scheduleArbitration(active);
+    pending_[src].pop_front();
+    --numPending_;
+    if (!pending_[src].empty())
+        pending_[src].front().activeAt =
+            std::max(pending_[src].front().activeAt, now + 1);
+    else
+        pendingBits_[src >> 6] &= ~(std::uint64_t{1} << (src & 63));
 }
 
 void
@@ -256,21 +282,9 @@ Interconnect::arbitrate()
         if (grantWait_)
             (*grantWait_)[req.src].record(now - req.posted);
 
-        DeliverFn deliver = std::move(req.deliver);
-        queue_.scheduleLambda(arrival,
-                              [deliver = std::move(deliver), arrival] {
-                                  deliver(arrival);
-                              });
-
-        pending_[src].pop_front();
-        --numPending_;
-        // The setup port frees next cycle for the next queued request.
-        if (!pending_[src].empty())
-            pending_[src].front().activeAt = std::max(
-                pending_[src].front().activeAt, now + 1);
-        else
-            pendingBits_[src >> 6] &=
-                ~(std::uint64_t{1} << (src & 63));
+        req.msg->arrival = arrival;
+        queue_.schedule(req.msg, arrival);
+        retireHead(src, now);
     }
 
     if (numPending_ > 0) {
@@ -342,24 +356,10 @@ Interconnect::degrade(CoreId src, Cycle now)
                              "degraded message", req.posted, arrival,
                              req.dst, req.retries, "dst", "retries");
 
-    DeliverFn deliver = std::move(req.deliver);
-    // Flag the delivery as degraded for its whole (synchronous)
-    // callback, so continuations can tag the translation result.
-    queue_.scheduleLambda(arrival,
-                          [this, deliver = std::move(deliver), arrival] {
-                              deliveringDegraded_ = true;
-                              deliver(arrival);
-                              deliveringDegraded_ = false;
-                          });
-
-    pending_[src].pop_front();
-    --numPending_;
-    // The setup port frees next cycle, as for a granted setup.
-    if (!pending_[src].empty())
-        pending_[src].front().activeAt = std::max(
-            pending_[src].front().activeAt, now + 1);
-    else
-        pendingBits_[src >> 6] &= ~(std::uint64_t{1} << (src & 63));
+    req.msg->arrival = arrival;
+    req.msg->degraded = true;
+    queue_.schedule(req.msg, arrival);
+    retireHead(src, now);
 }
 
 void

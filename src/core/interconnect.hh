@@ -17,6 +17,8 @@
  *    host parallelism;
  *  - message delivery with continuation: the DeliverFn fires exactly
  *    once, at the destination latch cycle, on the simulated queue;
+ *    it is built once, in a pooled message, and runs where it sits
+ *    (see DESIGN.md, "Fabric message lifecycle");
  *  - per-link stats/heatmap export: the link_grants / link_denies /
  *    link_hold_cycles vectors are indexed by flattened LinkId over the
  *    *tile* mesh for every implementation, so heatmap tooling is
@@ -114,8 +116,23 @@ class Interconnect : public stats::StatGroup
      * Each source tile has a single path-setup port (one set of
      * request wires to the arbiters), so its outstanding messages
      * arbitrate oldest-first, one per cycle.
+     *
+     * @p deliver (any callable taking the arrival cycle) is moved, or
+     * copied if an lvalue, straight into a pooled message and never
+     * relocated again; it runs in place at delivery.
      */
-    void send(CoreId src, CoreId dst, Cycle now, DeliverFn deliver);
+    template <typename F>
+    void
+    send(CoreId src, CoreId dst, Cycle now, F &&deliver)
+    {
+        if (src == dst) {
+            deliver(now);
+            return;
+        }
+        Message *msg = takeMessage();
+        msg->deliver = std::forward<F>(deliver);
+        post(msg, src, dst, now, 0, false);
+    }
 
     /**
      * Round-trip acquisition (Fig 16 left): the forward *and* reverse
@@ -125,8 +142,19 @@ class Interconnect : public stats::StatGroup
      * caller schedules the response completion itself (the return path
      * is pre-granted, adding one traversal).
      */
-    void sendRoundTrip(CoreId src, CoreId dst, Cycle now, Cycle occupancy,
-                       DeliverFn deliver);
+    template <typename F>
+    void
+    sendRoundTrip(CoreId src, CoreId dst, Cycle now, Cycle occupancy,
+                  F &&deliver)
+    {
+        if (src == dst) {
+            deliver(now);
+            return;
+        }
+        Message *msg = takeMessage();
+        msg->deliver = std::forward<F>(deliver);
+        post(msg, src, dst, now, occupancy, true);
+    }
 
     const noc::GridTopology &topology() const { return topo_; }
 
@@ -244,13 +272,19 @@ class Interconnect : public stats::StatGroup
     /** Slots a source's request ring allocates on its first send(). */
     static constexpr std::size_t ringInitialCapacity = 4;
 
+    /** Pooled messages ever allocated (test hook). */
+    std::size_t allocatedMessages() const { return messages_.size(); }
+    /** Pooled messages currently awaiting reuse (test hook). */
+    std::size_t freeMessages() const { return messageFree_.size(); }
+
     /**
      * Resident bytes of the arbitration state (link holds, request
-     * rings, occupancy bitmaps, fault vectors), for the scaling
-     * bench's per-component memory audit. Subclasses add their path
-     * tables. Request rings count at their capacity, which only grows,
-     * so the figure is the same at every quiescent point after the
-     * deepest queue a run has seen.
+     * rings, occupancy bitmaps, fault vectors, the message pool), for
+     * the scaling bench's per-component memory audit. Subclasses add
+     * their path tables. Request rings count at their capacity and the
+     * pool at its allocated size; both only grow, so the figure is the
+     * same at every quiescent point after the deepest queue a run has
+     * seen.
      */
     virtual std::size_t
     memoryBytes() const
@@ -262,7 +296,10 @@ class Interconnect : public stats::StatGroup
             linkFaultyUntil_.capacity() * sizeof(Cycle) +
             linkDeadPermanent_.capacity() * sizeof(std::uint8_t) +
             meshLinkFree_.capacity() * sizeof(Cycle) +
-            pending_.capacity() * sizeof(RequestRing);
+            pending_.capacity() * sizeof(RequestRing) +
+            messages_.size() * sizeof(Message) +
+            messages_.capacity() * sizeof(std::unique_ptr<Message>) +
+            messageFree_.capacity() * sizeof(Message *);
         for (const RequestRing &ring : pending_)
             bytes += ring.capacity() * sizeof(Request);
         if (grantWait_)
@@ -271,6 +308,28 @@ class Interconnect : public stats::StatGroup
     }
 
   protected:
+    /**
+     * One in-flight message: a pooled, intrusive event. Its
+     * continuation is built in place by send() and runs in place when
+     * the message is dispatched at its arrival cycle; the message then
+     * drops the continuation and returns to the owner's free list.
+     */
+    class Message : public Event
+    {
+      public:
+        explicit Message(Interconnect &owner) : owner_(owner) {}
+
+        void process() override;
+
+        DeliverFn deliver;
+        Cycle arrival = 0;
+        /** Delivered over the fallback mesh (see deliveredDegraded()). */
+        bool degraded = false;
+
+      private:
+        Interconnect &owner_;
+    };
+
     struct Request
     {
         CoreId src;
@@ -280,7 +339,7 @@ class Interconnect : public stats::StatGroup
         Cycle holdExtra; ///< extra link-hold cycles (round-trip mode)
         bool roundTrip;
         unsigned retries;
-        DeliverFn deliver;
+        Message *msg; ///< owns the continuation until delivery
     };
 
     /**
@@ -296,20 +355,18 @@ class Interconnect : public stats::StatGroup
         Request &front() { return slots_[head_]; }
 
         void
-        push_back(Request &&req)
+        push_back(const Request &req)
         {
             if (count_ == slots_.size())
                 grow();
-            slots_[(head_ + count_) & (slots_.size() - 1)] =
-                std::move(req);
+            slots_[(head_ + count_) & (slots_.size() - 1)] = req;
             ++count_;
         }
 
-        /** Drop the head request (its closure, if still held, too). */
+        /** Drop the head request. */
         void
         pop_front()
         {
-            slots_[head_].deliver = nullptr;
             head_ = (head_ + 1) & (slots_.size() - 1);
             --count_;
         }
@@ -322,8 +379,7 @@ class Interconnect : public stats::StatGroup
             std::vector<Request> bigger(
                 slots_.empty() ? ringInitialCapacity : 2 * slots_.size());
             for (std::size_t i = 0; i < count_; ++i)
-                bigger[i] = std::move(
-                    slots_[(head_ + i) & (slots_.size() - 1)]);
+                bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
             slots_.swap(bigger);
             head_ = 0;
         }
@@ -350,6 +406,28 @@ class Interconnect : public stats::StatGroup
 
     /** Run one arbitration round for the current cycle. */
     void arbitrate();
+
+    /** A recycled message, or a new one when the pool is dry. */
+    Message *
+    takeMessage()
+    {
+        if (messageFree_.empty())
+            return newMessage();
+        Message *msg = messageFree_.back();
+        messageFree_.pop_back();
+        return msg;
+    }
+
+    Message *newMessage();
+
+    /** Queue @p msg (its continuation already built) for arbitration
+     * at @p src's setup port. */
+    void post(Message *msg, CoreId src, CoreId dst, Cycle now,
+              Cycle holdExtra, bool roundTrip);
+
+    /** Pop @p src's head request after its message was scheduled;
+     * the setup port frees next cycle. */
+    void retireHead(CoreId src, Cycle now);
 
     /** A link fault window just opened: mark it, reroute if permanent. */
     void activateFault(const sim::LinkFaultSpec &fault);
@@ -401,6 +479,12 @@ class Interconnect : public stats::StatGroup
     Cycle faultStatsThrough_ = 0;
     /** See deliveredDegraded(). */
     bool deliveringDegraded_ = false;
+
+    /** Every message this fabric ever allocated (queued, in flight or
+     * free); the pool only grows. */
+    std::vector<std::unique_ptr<Message>> messages_;
+    /** Delivered messages ready for the next send(). */
+    std::vector<Message *> messageFree_;
 
     /** Per-source grant-wait histograms (null unless recording). */
     std::unique_ptr<std::vector<sim::LatencyHistogram>> grantWait_;

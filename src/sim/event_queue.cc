@@ -325,21 +325,16 @@ EventQueue::runOneCycle()
     processCycle(head);
 }
 
-void
-EventQueue::scheduleLambda(Cycle when, SimCallback fn,
-                           Event::Priority prio)
+EventQueue::PooledLambdaEvent *
+EventQueue::takeLambdaEvent()
 {
-    PooledLambdaEvent *ev;
-    if (!lambdaFree_.empty()) {
-        ev = lambdaFree_.back();
-        lambdaFree_.pop_back();
-    } else {
-        ev = new PooledLambdaEvent(this);
-        lambdaAll_.push_back(ev);
+    if (lambdaFree_.empty()) {
+        lambdaAll_.push_back(new PooledLambdaEvent(this));
+        return lambdaAll_.back();
     }
-    ev->fn_ = std::move(fn);
-    ev->_priority = prio;
-    schedule(ev, when);
+    PooledLambdaEvent *ev = lambdaFree_.back();
+    lambdaFree_.pop_back();
+    return ev;
 }
 
 } // namespace nocstar

@@ -89,10 +89,11 @@ class Event
 
 /**
  * One-shot simulation callback. The capacity covers the largest
- * continuation chain on the per-access path (a fabric delivery
- * carrying an organization continuation that itself owns the
- * requester's completion callback); outgrowing it is a compile error,
- * never a heap allocation.
+ * continuation chain on the per-access path (a page-walk completion
+ * carrying the walk result and an organization continuation that
+ * itself owns the requester's completion callback); outgrowing it is
+ * a compile error, never a heap allocation. Fabric deliveries do not
+ * use it: they run on the fabric's own pooled messages.
  */
 using SimCallback = InlineFunction<void(), 256>;
 
@@ -207,10 +208,20 @@ class EventQueue
      * lifetime. The backing events come from a free-list pool, so a
      * steady-state simulation stops allocating per message: once the
      * pool has grown to the peak number of in-flight callbacks, every
-     * subsequent call reuses a recycled event.
+     * subsequent call reuses a recycled event. @p fn is constructed
+     * straight into the pooled event's callback buffer (one move for
+     * an rvalue, one copy for an lvalue).
      */
-    void scheduleLambda(Cycle when, SimCallback fn,
-                        Event::Priority prio = Event::defaultPriority);
+    template <typename F>
+    void
+    scheduleLambda(Cycle when, F &&fn,
+                   Event::Priority prio = Event::defaultPriority)
+    {
+        PooledLambdaEvent *ev = takeLambdaEvent();
+        ev->fn_ = std::forward<F>(fn);
+        ev->_priority = prio;
+        schedule(ev, when);
+    }
 
     /** Pooled lambda events currently awaiting reuse (test hook). */
     std::size_t freeLambdaEvents() const { return lambdaFree_.size(); }
@@ -363,6 +374,9 @@ class EventQueue
         EventQueue *owner_;
         SimCallback fn_;
     };
+
+    /** A recycled pooled event, or a new one when the pool is dry. */
+    PooledLambdaEvent *takeLambdaEvent();
 
     /** Per-cycle buckets for events within the wheel horizon. */
     std::vector<std::vector<WheelRecord>> wheel_{wheelSize};

@@ -149,6 +149,24 @@ TEST(ArgParser, PositionalsFillInOrder)
     EXPECT_EQ(untouched, 7u);
 }
 
+TEST(ArgParser, IgnoredJobsAcceptsBothSpellingsAndLeavesPositionals)
+{
+    std::uint64_t horizon = 5;
+    ArgParser parser("t", "");
+    parser.positional("HORIZON", &horizon, "");
+    parser.ignoredJobs();
+    Argv a{"--jobs", "4", "300", "--jobs=1"};
+    EXPECT_TRUE(parser.parse(a.argc(), a.argv()));
+    EXPECT_EQ(horizon, 300u);
+    EXPECT_TRUE(parser.seen("jobs"));
+
+    // The value is still checked, as for every unsigned option.
+    ArgParser strict("t", "");
+    strict.ignoredJobs();
+    Argv b{"--jobs", "many"};
+    EXPECT_FALSE(strict.parse(b.argc(), b.argv()));
+}
+
 TEST(ArgParser, CollectsEveryError)
 {
     std::uint64_t n = 0;

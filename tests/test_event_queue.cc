@@ -209,6 +209,31 @@ TEST(EventQueue, PooledLambdaEventsAreReused)
     EXPECT_EQ(queue.freeLambdaEvents(), 1u);
 }
 
+TEST(EventQueue, ScheduleLambdaMovesAnRvalueIntoThePoolOnce)
+{
+    // The callable is built straight into the pooled event's buffer:
+    // one move, not a hop through a by-value parameter first.
+    struct Counted
+    {
+        int *moves;
+        int *calls;
+        Counted(int *m, int *c) : moves(m), calls(c) {}
+        Counted(Counted &&other) noexcept
+            : moves(other.moves), calls(other.calls)
+        {
+            ++*moves;
+        }
+        void operator()() { ++*calls; }
+    };
+    EventQueue queue;
+    int moves = 0;
+    int calls = 0;
+    queue.scheduleLambda(3, Counted{&moves, &calls});
+    EXPECT_EQ(moves, 1);
+    queue.run();
+    EXPECT_EQ(calls, 1);
+}
+
 TEST(EventQueue, FarFutureEventSurvivesLimitedRun)
 {
     // Regression: run(limit) used to fold overflow records into the

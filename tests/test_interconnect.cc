@@ -6,7 +6,9 @@
  * crossbar-of-clusters fabric must degenerate correctly at both ends
  * of its cluster-size range (whole-chip cluster = pure crossbar,
  * 1x1 clusters = the flat mesh), stay shard-count invariant, and
- * route around dead inter-cluster links.
+ * route around dead inter-cluster links. Messages build their
+ * continuation once, recycle through the fabric's pool and are
+ * released cleanly when a fabric or system is torn down mid-flight.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +19,10 @@
 
 #include "core/hier_fabric.hh"
 #include "core/interconnect.hh"
+#include "core/nocstar_org.hh"
 #include "cpu/system.hh"
 #include "sim/parallel.hh"
+#include "sim/fault.hh"
 #include "sim/random.hh"
 
 using namespace nocstar;
@@ -428,4 +432,198 @@ TEST(HierFabric, GrantWaitPercentilesReachRunResult)
     EXPECT_GT(r.fabricSetupAttempts, 0u);
     EXPECT_GE(r.fabricGrantWaitP99Max, 0.0);
     EXPECT_GE(r.fabricGrantWaitP99Max, r.fabricGrantWaitP99Mean);
+}
+
+// ---------------------------------------------------------------------
+// Message lifecycle: one continuation build per message, pooled
+// messages, teardown with messages in flight.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** What a MoveCounted continuation saw. */
+struct MoveProbe
+{
+    int moves = 0;
+    int movesAtDelivery = -1;
+    Cycle arrival = invalidCycle;
+    bool degraded = false;
+};
+
+/** A continuation that counts its own relocations. */
+struct MoveCounted
+{
+    MoveProbe *probe;
+    const Interconnect *fabric;
+
+    MoveCounted(MoveProbe *p, const Interconnect *f) : probe(p), fabric(f)
+    {}
+    MoveCounted(MoveCounted &&other) noexcept
+        : probe(other.probe), fabric(other.fabric)
+    {
+        ++probe->moves;
+    }
+
+    void
+    operator()(Cycle at)
+    {
+        probe->movesAtDelivery = probe->moves;
+        probe->arrival = at;
+        probe->degraded = fabric->deliveredDegraded();
+    }
+};
+
+/** Send one MoveCounted message, then check it moved at most once,
+ * into its message, and never after send() returned. */
+void
+expectBuiltOnce(InterconnectHarness &h, std::vector<MoveProbe> &probes,
+                const std::vector<std::pair<CoreId, CoreId>> &pairs,
+                Cycle at)
+{
+    probes.assign(pairs.size(), MoveProbe{});
+    std::vector<int> after(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        h.fabric.send(pairs[i].first, pairs[i].second, at,
+                      MoveCounted{&probes[i], &h.fabric});
+        after[i] = probes[i].moves;
+    }
+    h.queue.run();
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        EXPECT_LE(after[i], 1) << "message " << i;
+        EXPECT_EQ(probes[i].moves, after[i]) << "message " << i;
+        EXPECT_EQ(probes[i].movesAtDelivery, after[i]) << "message " << i;
+        EXPECT_NE(probes[i].arrival, invalidCycle) << "message " << i;
+    }
+}
+
+} // namespace
+
+TEST(FabricMessages, GrantedContinuationIsBuiltOnceInItsMessage)
+{
+    InterconnectHarness h(16);
+    std::vector<MoveProbe> probes;
+    expectBuiltOnce(h, probes, {{0, 15}}, 5);
+    EXPECT_EQ(h.fabric.setupFailures.value(), 0.0);
+    EXPECT_FALSE(probes[0].degraded);
+    // Deliveries run on the fabric's own pooled messages, never on
+    // the queue's lambda pool.
+    EXPECT_EQ(h.queue.allocatedLambdaEvents(), 0u);
+    EXPECT_EQ(h.fabric.allocatedMessages(), 1u);
+    EXPECT_EQ(h.fabric.freeMessages(), 1u);
+}
+
+TEST(FabricMessages, DeniedThenGrantedContinuationStaysPut)
+{
+    // 0 -> 3 and 1 -> 2 share tile 1's East link: one is denied and
+    // waits in its ring, then retries and wins.
+    InterconnectHarness h(16);
+    std::vector<MoveProbe> probes;
+    expectBuiltOnce(h, probes, {{0, 3}, {1, 2}}, 5);
+    EXPECT_EQ(h.fabric.setupFailures.value(), 1.0);
+    EXPECT_EQ(h.queue.allocatedLambdaEvents(), 0u);
+}
+
+TEST(FabricMessages, DegradedContinuationStaysPutAndSeesTheFlag)
+{
+    // Every output of tile 5 is dead, so 5 -> 6 takes the mesh.
+    sim::FaultPlan plan;
+    for (auto dir : {noc::Direction::East, noc::Direction::West,
+                     noc::Direction::North, noc::Direction::South})
+        plan.linkFaults.push_back({noc::LinkId{5, dir}.flatten(), 0, 0});
+    FabricConfig cfg;
+    cfg.faults = &plan;
+    InterconnectHarness h(16, cfg);
+    std::vector<MoveProbe> probes;
+    expectBuiltOnce(h, probes, {{5, 6}}, 10);
+    EXPECT_EQ(h.fabric.degradedMessages.value(), 1.0);
+    EXPECT_TRUE(probes[0].degraded);
+    EXPECT_FALSE(h.fabric.deliveredDegraded());
+
+    // The recycled message carries no stale degraded mark.
+    expectBuiltOnce(h, probes, {{0, 1}}, h.queue.curCycle());
+    EXPECT_FALSE(probes[0].degraded);
+    EXPECT_EQ(h.fabric.allocatedMessages(), 1u);
+}
+
+TEST(FabricMessages, SendFromInsideADeliveryReusesThePool)
+{
+    // Each delivery sends the next message, as a remote hit's
+    // response does: the running message stays allocated until its
+    // continuation returns, so a chain needs exactly two.
+    InterconnectHarness h(16);
+    struct Bounce
+    {
+        Interconnect *fabric;
+        unsigned *legs;
+        void
+        operator()(Cycle at)
+        {
+            if (++*legs < 100)
+                fabric->send(*legs % 2 ? 5 : 10, *legs % 2 ? 10 : 5, at,
+                             Bounce{*this});
+        }
+    };
+    unsigned legs = 0;
+    h.fabric.send(10, 5, 0, Bounce{&h.fabric, &legs});
+    h.queue.run();
+    EXPECT_EQ(legs, 100u);
+    EXPECT_EQ(h.fabric.messagesSent.value(), 100.0);
+    EXPECT_EQ(h.fabric.allocatedMessages(), 2u);
+    EXPECT_EQ(h.fabric.freeMessages(), 2u);
+    EXPECT_EQ(h.queue.allocatedLambdaEvents(), 0u);
+}
+
+TEST(FabricMessages, DestroyingAFabricReleasesQueuedAndScheduledMessages)
+{
+    for (const FabricConfig &cfg : {FabricConfig{}, hierConfig(4, 4)}) {
+        EventQueue queue;
+        stats::StatGroup root{"root"};
+        noc::GridTopology topo = noc::GridTopology::forCores(64);
+        std::unique_ptr<Interconnect> fabric =
+            makeInterconnect("fabric", queue, topo, cfg, &root);
+        auto token = std::make_shared<int>(0);
+        int delivered = 0;
+        for (int i = 0; i < 4; ++i)
+            fabric->send(0, 63, 5,
+                         [token, &delivered](Cycle) { ++delivered; });
+        // One setup port: the first grant in cycle 5 is on the wheel,
+        // the other three requests wait in the ring.
+        queue.run(5);
+        EXPECT_EQ(delivered, 0);
+        EXPECT_EQ(fabric->messagesSent.value(), 1.0);
+        EXPECT_EQ(fabric->allocatedMessages(), 4u);
+        EXPECT_EQ(fabric->freeMessages(), 0u);
+        EXPECT_EQ(token.use_count(), 5);
+
+        fabric.reset();
+        EXPECT_EQ(token.use_count(), 1);
+        EXPECT_TRUE(queue.empty());
+    }
+}
+
+TEST(FabricMessages, DestroyingASystemMidFlightReleasesItsMessages)
+{
+    cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar, 16);
+    auto system = std::make_unique<cpu::System>(config);
+    auto &org = dynamic_cast<core::NocstarOrg &>(system->organization());
+    const Interconnect &fabric = org.fabric();
+
+    // Fifteen cores ask slice 5 at once: a few setups win (on the
+    // wheel), the rest are denied and wait in their rings.
+    const Addr vaddr = Addr{5} << pageShift(PageSize::FourKB);
+    ASSERT_EQ(org.sliceOf(vaddr), 5u);
+    auto token = std::make_shared<int>(0);
+    for (CoreId core = 0; core < 16; ++core)
+        if (core != 5)
+            org.translate(core, 0, vaddr, 0,
+                          [token](const core::TranslationResult &) {});
+    system->queue().run(config.org.initiateLatency);
+    EXPECT_GT(fabric.messagesSent.value(), 0.0);
+    EXPECT_GT(fabric.setupFailures.value(), 0.0);
+    EXPECT_EQ(fabric.freeMessages(), 0u);
+    EXPECT_EQ(token.use_count(), 16);
+
+    system.reset();
+    EXPECT_EQ(token.use_count(), 1);
 }
