@@ -165,36 +165,6 @@ faultSelection()
 }
 
 /**
- * Sharded-engine selection, filled in by the --shards option. When
- * set, every configuration a bench runs uses the window engine with
- * this many shards (see SystemConfig::shards); results are
- * byte-identical at every shard count, so this is purely a wall-clock
- * knob and safe to apply sweep-wide.
- */
-struct ShardSelection
-{
-    /** 0 = legacy single-queue engine; >= 1 = window engine. */
-    unsigned shards = 0;
-    bool set = false;
-    /**
-     * `--shards auto`: pick the count per configuration from its tile
-     * count, the host's hardware concurrency, and the sweep's resolved
-     * job count (sim::autoShards) instead of a fixed number.
-     */
-    bool autoSelect = false;
-    /** Resolved sweep jobs, recorded for the auto computation. */
-    unsigned jobsHint = 1;
-};
-
-/** The process-wide shard selection (set once at startup). */
-inline ShardSelection &
-shardSelection()
-{
-    static ShardSelection sel;
-    return sel;
-}
-
-/**
  * Fabric selection, filled in by the --fabric option. When set, every
  * NOCSTAR configuration a bench runs uses this fabric (flat
  * circuit-switched mesh or the hierarchical crossbar-of-clusters
@@ -273,37 +243,6 @@ parseSampleSpec(const std::string &spec, cpu::SamplingConfig &out)
 }
 
 /**
- * Clamp @p jobs so that jobs x shards worker threads never exceed the
- * host's hardware threads (sweep workers and shard crews multiply, and
- * the shard crew spins between windows, so oversubscription destroys
- * rather than degrades the speedup). Warns on stderr the first time it
- * clamps.
- */
-inline unsigned
-clampJobsForShards(unsigned jobs, unsigned shards)
-{
-    if (shards <= 1 || jobs == 0)
-        return jobs;
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    if (static_cast<std::uint64_t>(jobs) * shards <= hw)
-        return jobs;
-    unsigned clamped = std::max(1u, hw / shards);
-    if (clamped >= jobs)
-        return jobs;
-    static bool warned = false;
-    if (!warned) {
-        warned = true;
-        std::fprintf(stderr,
-                     "note: clamping --jobs %u to %u: %u jobs x %u "
-                     "shards would oversubscribe %u hardware threads\n",
-                     jobs, clamped, jobs, shards, hw);
-    }
-    return clamped;
-}
-
-/**
  * Apply the process-wide command-line selections (observability,
  * fault plan) to a copy of @p config.
  */
@@ -328,10 +267,6 @@ applySelections(const cpu::SystemConfig &config)
         cfg.org.clusterWidth = fabricSelection().clusterWidth;
         cfg.org.clusterHeight = fabricSelection().clusterHeight;
     }
-    if (shardSelection().set)
-        cfg.shards = shardSelection().autoSelect
-            ? sim::autoShards(cfg.org.numCores, shardSelection().jobsHint)
-            : shardSelection().shards;
     const SamplingSelection &sample = samplingSelection();
     if (sample.samplingSet)
         cfg.sampling = sample.sampling;
@@ -391,7 +326,7 @@ struct BenchArgs
  * Register the options every bench shares on @p parser: --jobs, the
  * observability group (`--trace[=FLAGS]`, `--trace-out FILE`,
  * `--stats-json FILE`, `--epoch N`, `--epoch-reset`), the fault group
- * (`--fault-plan FILE`, `--fault-seed N`), `--shards N|auto` and
+ * (`--fault-plan FILE`, `--fault-seed N`) and
  * `--fabric flat|hier[:WxH]`. All of them write into the process-wide
  * singletons; --jobs writes into @p args.
  */
@@ -482,33 +417,6 @@ addStandardBenchOptions(ArgParser &parser, BenchArgs &args)
             return true;
         },
         "inject faults per this plan file (see docs)", "FILE");
-    parser.option(
-        "shards",
-        [](const std::string &value) {
-            ShardSelection &sel = shardSelection();
-            if (value == "auto") {
-                sel.autoSelect = true;
-                sel.set = true;
-                return true;
-            }
-            std::uint64_t n = 0;
-            if (!parseUnsigned(value, n))
-                return false;
-            if (n < 1) {
-                std::fprintf(stderr,
-                             "--shards must be >= 1 (0 would select "
-                             "the legacy engine; omit the flag "
-                             "instead)\n");
-                return false;
-            }
-            sel.shards = static_cast<unsigned>(n);
-            sel.set = true;
-            return true;
-        },
-        "run every simulation on N parallel shards (window engine; "
-        "results are byte-identical at every N), or 'auto' to pick N "
-        "from the tile count, host cores and sweep jobs",
-        "N");
     parser.option(
         "fabric",
         [](const std::string &spec) {
@@ -635,17 +543,6 @@ finalizeBenchArgs(ArgParser &parser, int argc, char **argv,
     faults.configured = faults.planLoaded;
     if (args.jobs == 0)
         args.jobs = sim::defaultJobs();
-    if (shardSelection().set) {
-        if (shardSelection().autoSelect)
-            // Auto divides the hardware budget by the resolved job
-            // count per configuration instead of clamping jobs: the
-            // sweep keeps its workers and each run shards into the
-            // leftover threads.
-            shardSelection().jobsHint = args.jobs;
-        else
-            args.jobs = clampJobsForShards(args.jobs,
-                                           shardSelection().shards);
-    }
     return args;
 }
 

@@ -22,7 +22,6 @@
 #include "bench/bench_common.hh"
 #include "cpu/system.hh"
 #include "sim/fault.hh"
-#include "sim/parallel.hh"
 #include "sim/trace_recorder.hh"
 #include "sim/program_main.hh"
 
@@ -69,7 +68,6 @@ programMain(int argc, char **argv)
     bool no_superpages = false;
     bool storm = false;
     bool dump_stats = false;
-    bool shards_auto = false;
     bool do_trace = false;
     std::string trace_out = "simulate_trace.json";
 
@@ -154,22 +152,6 @@ programMain(int argc, char **argv)
     parser.option("fixed-ptw", &config.walker.fixedLatency,
                   "fixed walk latency in cycles (default variable)");
     parser.option("seed", &config.seed, "random seed (default 1)");
-    parser.option(
-        "shards",
-        [&config, &shards_auto](const std::string &value) {
-            if (value == "auto") {
-                shards_auto = true;
-                return true;
-            }
-            std::uint64_t n = 0;
-            if (!bench::parseUnsigned(value, n) || n < 1)
-                return false;
-            config.shards = static_cast<unsigned>(n);
-            return true;
-        },
-        "run on N >= 1 parallel shards (window engine; byte-identical "
-        "results at every N), or 'auto' to pick N from the core count "
-        "and host hardware", "N");
     parser.option(
         "hotspot",
         [&config](const std::string &value) {
@@ -288,11 +270,6 @@ programMain(int argc, char **argv)
         config.contextSwitchInterval = 50000;
         config.stormRemapInterval = 5000;
     }
-
-    if (shards_auto)
-        // Resolved after --cores is known; a single run has no sweep
-        // jobs competing for the hardware budget.
-        config.shards = sim::autoShards(config.org.numCores);
 
     config.org.banks = config.org.numCores >= 64 ? 8 : 4;
     cpu::AppConfig app{workload::findWorkload(workload_name),

@@ -19,9 +19,8 @@
  * Exits nonzero unless the captured trace actually contains
  * translation spans and fabric link spans, so CI can run this as a
  * smoke test of the whole observability layer. A second leg re-runs
- * the system on the sharded window engine (--shards 2 equivalent)
- * with counter sampling on and requires shard-phase spans (phase A /
- * B1 / B2) and counter-track samples in the capture.
+ * the system with counter sampling on and requires counter-track
+ * samples in the capture.
  */
 
 #include <cstdio>
@@ -145,32 +144,26 @@ programMain(int argc, char **argv)
         return 1;
     }
 
-    // 7. Sharded-engine leg: the same system on 2 shards with counter
-    //    sampling on must emit window-phase spans on the shard lane
-    //    and counter-track samples -- the pieces Perfetto renders as
-    //    the engine's phase timeline.
+    // 7. Counter leg: the same system with counter sampling on must
+    //    emit counter-track samples -- the pieces Perfetto renders as
+    //    queue-depth / in-flight-miss / links-held timelines.
     sim::TraceRecorder::global().clear();
     sim::TraceRecorder::global().start();
-    cpu::SystemConfig sharded = config;
-    sharded.statsEpochInterval = 0;
-    sharded.statsJsonPath.clear();
-    sharded.shards = 2;
-    sharded.counterInterval = 500;
-    cpu::System shardRun(sharded);
-    shardRun.run(accesses);
-    std::uint64_t shard_events = 0, counter_events = 0;
-    for (const auto &r : sim::TraceRecorder::global().snapshot()) {
-        shard_events += r.lane == sim::Lane::Shard;
+    cpu::SystemConfig counted = config;
+    counted.statsEpochInterval = 0;
+    counted.statsJsonPath.clear();
+    counted.counterInterval = 500;
+    cpu::System countedRun(counted);
+    countedRun.run(accesses);
+    std::uint64_t counter_events = 0;
+    for (const auto &r : sim::TraceRecorder::global().snapshot())
         counter_events += r.lane == sim::Lane::Counter;
-    }
-    std::printf("sharded leg: %llu shard-phase events, %llu counter "
-                "samples\n",
-                static_cast<unsigned long long>(shard_events),
+    std::printf("counter leg: %llu counter samples\n",
                 static_cast<unsigned long long>(counter_events));
-    if (shard_events == 0 || counter_events == 0) {
+    if (counter_events == 0) {
         std::fprintf(stderr,
-                     "expected shard-phase spans and counter samples "
-                     "from the --shards 2 leg\n");
+                     "expected counter samples from the "
+                     "counterInterval = 500 leg\n");
         return 1;
     }
     return 0;

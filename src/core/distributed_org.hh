@@ -41,16 +41,6 @@ class DistributedOrg : public TlbOrganization
 
     std::uint64_t totalEntries() const override;
 
-    /**
-     * A local-slice hit completes at portStart(t0) + sliceLatency_;
-     * remote slices and walks only add network cycles. Holds for the
-     * ideal (zero-latency) network too.
-     */
-    Cycle
-    minCompletionLead() const override
-    {
-        return config_.initiateLatency + sliceLatency_;
-    }
 
     /**
      * Home slice of a virtual address: 4 KB-granule interleaving on
@@ -71,7 +61,7 @@ class DistributedOrg : public TlbOrganization
         return *slices_.at(slice);
     }
 
-    // Sharded pre-probe support: one home array per slice tile.
+    // One home array per slice tile.
     unsigned numHomeArrays() const override { return config_.numCores; }
 
     unsigned
@@ -81,14 +71,6 @@ class DistributedOrg : public TlbOrganization
         return static_cast<unsigned>(sliceOf(vaddr));
     }
 
-    ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr) override
-    {
-        (void)core;
-        const tlb::TlbEntry *hit =
-            slices_[sliceOf(vaddr)]->lookupAnySize(ctx, vaddr);
-        return hit ? ProbeResult{true, *hit} : ProbeResult{};
-    }
 
     tlb::SetAssocTlb &array(unsigned index) override
     {

@@ -73,9 +73,8 @@ MonolithicOrg::translate(CoreId core, ContextId ctx, Addr vaddr,
         ctx_.energy->addL2Message(energyStyle_, hops,
                                   array.numEntries());
 
-    // Functional lookup now (live, or the shard crew's pre-probe);
-    // timing assembled below.
-    const tlb::TlbEntry *hit = homeProbe(array, ctx, vaddr);
+    // Functional lookup now; timing assembled below.
+    const tlb::TlbEntry *hit = array.lookupAnySize(ctx, vaddr);
     bool ecc = false;
     if (hit && eccCorrupted()) {
         // The entry read back corrupt: drop it and take the miss path.

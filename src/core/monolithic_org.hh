@@ -41,19 +41,6 @@ class MonolithicOrg : public TlbOrganization
 
     std::uint64_t totalEntries() const override;
 
-    /**
-     * Fig-4 override mode completes at portStart(t0) + override; the
-     * full model adds traversals around the bank access. Either way
-     * initiate + the fixed array term is a floor.
-     */
-    Cycle
-    minCompletionLead() const override
-    {
-        return config_.initiateLatency +
-               (config_.monolithicAccessOverride
-                    ? config_.monolithicAccessOverride
-                    : bankLatency_);
-    }
 
     /** Tile adjacent to which the monolithic structure is placed. */
     CoreId structureTile() const { return structureTile_; }
@@ -68,8 +55,7 @@ class MonolithicOrg : public TlbOrganization
 
     tlb::SetAssocTlb &bankArray(unsigned bank) { return *banks_.at(bank); }
 
-    // Sharded pre-probe support: one home array per bank. Banks are
-    // fewer than tiles, so some shards may own none.
+    // One home array per bank.
     unsigned numHomeArrays() const override { return config_.banks; }
 
     unsigned
@@ -79,14 +65,6 @@ class MonolithicOrg : public TlbOrganization
         return bankOf(vaddr);
     }
 
-    ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr) override
-    {
-        (void)core;
-        const tlb::TlbEntry *hit =
-            banks_[bankOf(vaddr)]->lookupAnySize(ctx, vaddr);
-        return hit ? ProbeResult{true, *hit} : ProbeResult{};
-    }
 
     tlb::SetAssocTlb &array(unsigned index) override
     {

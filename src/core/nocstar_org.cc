@@ -195,9 +195,8 @@ NocstarOrg::translate(CoreId core, ContextId ctx, Addr vaddr, Cycle now,
                                   topo_.hops(core, slice),
                                   array.numEntries());
 
-    // Functional lookup now (live, or the shard crew's pre-probe);
-    // timing assembled by the continuations.
-    const tlb::TlbEntry *hit_entry = homeProbe(array, ctx, vaddr);
+    // Functional lookup now; timing assembled by the continuations.
+    const tlb::TlbEntry *hit_entry = array.lookupAnySize(ctx, vaddr);
     bool hit = hit_entry != nullptr;
     bool ecc = false;
     tlb::TlbEntry entry = hit ? *hit_entry : tlb::TlbEntry{};

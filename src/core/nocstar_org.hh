@@ -67,7 +67,7 @@ class NocstarOrg : public TlbOrganization
         return *slices_.at(slice);
     }
 
-    // Sharded pre-probe support: one home array per slice tile.
+    // One home array per slice tile.
     unsigned numHomeArrays() const override { return config_.numCores; }
 
     unsigned
@@ -77,14 +77,6 @@ class NocstarOrg : public TlbOrganization
         return static_cast<unsigned>(sliceOf(vaddr));
     }
 
-    ProbeResult
-    probeHomeArray(CoreId core, ContextId ctx, Addr vaddr) override
-    {
-        (void)core;
-        const tlb::TlbEntry *hit =
-            slices_[sliceOf(vaddr)]->lookupAnySize(ctx, vaddr);
-        return hit ? ProbeResult{true, *hit} : ProbeResult{};
-    }
 
     tlb::SetAssocTlb &array(unsigned index) override
     {
@@ -102,16 +94,6 @@ class NocstarOrg : public TlbOrganization
 
     Cycle sliceLatency() const { return sliceLatency_; }
 
-    /**
-     * Every completion path (local, single-trip, round-trip, denial
-     * retries, mesh fallback, walks) runs through a slice lookup
-     * ending at portStart(>= now + initiate) + sliceLatency_ first.
-     */
-    Cycle
-    minCompletionLead() const override
-    {
-        return config_.initiateLatency + sliceLatency_;
-    }
 
   private:
     /**

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 #include "core/nocstar_org.hh"
 #include "energy/sram_model.hh"
@@ -158,14 +157,6 @@ SystemConfig::validate() const
     if (walker.eccRetryProb < 0.0 || walker.eccRetryProb > 1.0)
         errors.push_back(strCat("walker.eccRetryProb ",
                                 walker.eccRetryProb, " outside [0, 1]"));
-    if (shards > org.numCores)
-        errors.push_back(strCat("shards (", shards,
-                                ") exceed the tile count (",
-                                org.numCores, ")"));
-    if (shards >= 1 && !captureTracePath.empty())
-        errors.push_back("captureTracePath requires the legacy engine "
-                         "(shards = 0): addresses are consumed inside "
-                         "parallel shard windows");
 
     if (sampling.enabled()) {
         if (sampling.windows < 2)
@@ -340,27 +331,6 @@ System::System(const SystemConfig &config)
     }
     if (!config.captureTracePath.empty())
         capture_ = std::make_unique<workload::TraceFile>();
-
-    if (config.shards >= 1) {
-        // Window engine: contiguous core ranges per shard, so the SMT
-        // threads of one core always share a queue (their same-cycle
-        // dispatch order is a per-queue property).
-        split_ = true;
-        unsigned shards = config.shards;
-        for (unsigned s = 0; s < shards; ++s)
-            shardQueues_.push_back(std::make_unique<EventQueue>());
-        lanes_.assign(shards, ShardLane{});
-        if (latency_ && !latency_->byCtx.empty())
-            for (ShardLane &lane : lanes_)
-                lane.hitsByCtx.assign(config.apps.size(), 0);
-        deferred_ =
-            std::make_unique<sim::ShardMailboxes<DeferredMiss>>(shards);
-        shardOfThread_.reserve(threads_.size());
-        for (const HwThread &thread : threads_)
-            shardOfThread_.push_back(static_cast<unsigned>(
-                static_cast<std::uint64_t>(thread.core) * shards /
-                cores));
-    }
 }
 
 System::~System() = default;
@@ -420,11 +390,7 @@ System::scheduleStep(std::size_t thread_index, Cycle when)
 {
     // Each thread has at most one step in flight, so its intrusive
     // event is always free for reuse here.
-    if (split_)
-        shardQueues_[shardOfThread_[thread_index]]->schedule(
-            &stepEvents_[thread_index], when);
-    else
-        queue_.schedule(&stepEvents_[thread_index], when);
+    queue_.schedule(&stepEvents_[thread_index], when);
 }
 
 Cycle
@@ -446,18 +412,6 @@ System::runAheadBound(std::size_t thread_index, Cycle now) const
         bound = std::min(bound, ev.when());
     }
     return bound;
-}
-
-void
-System::probeFirstTouch(const HwThread &thread, Addr vaddr)
-{
-    mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
-    ++l1Accesses_;
-    energy_.addL1Lookup();
-    if (l1s_[thread.core]->lookupHit(thread.ctx, pageNumber(vaddr, t.size),
-                                     t.size))
-        panic("first-touch access hit the L1 TLB");
-    ++l1Misses_;
 }
 
 void
@@ -496,9 +450,19 @@ System::step(std::size_t thread_index)
     if (thread.heldMiss) {
         // The access a run-ahead found to miss, now at its own cycle.
         thread.heldMiss = false;
-        if (!thread.heldProbed)
-            probeFirstTouch(thread, thread.heldVaddr);
-        issueMiss(thread_index, thread.heldVaddr, queue_.curCycle());
+        const Addr vaddr = thread.heldVaddr;
+        if (!thread.heldProbed) {
+            // Its region was unmapped when it was drawn: allocate it
+            // now, then probe and count the miss it must be.
+            mem::Translation t = pageTable_->translate(thread.ctx, vaddr);
+            ++l1Accesses_;
+            energy_.addL1Lookup();
+            if (l1s_[thread.core]->lookupHit(
+                    thread.ctx, pageNumber(vaddr, t.size), t.size))
+                panic("first-touch access hit the L1 TLB");
+            ++l1Misses_;
+        }
+        issueMiss(thread_index, vaddr, queue_.curCycle());
         bypassStreaks_.sample(0);
         return;
     }
@@ -601,115 +565,6 @@ System::runAhead(std::size_t thread_index, Cycle now, bool dispatched)
 }
 
 void
-System::shardStep(std::size_t thread_index)
-{
-    HwThread &thread = threads_[thread_index];
-    unsigned shard = shardOfThread_[thread_index];
-    EventQueue &q = *shardQueues_[shard];
-    ShardLane &lane = lanes_[shard];
-    Cycle now = q.curCycle();
-
-    for (;;) {
-        if (thread.accessesDone >= thread.quota) {
-            if (!thread.finished) {
-                thread.finished = true;
-                thread.finishedAt = now;
-                unfinished_.fetch_sub(1, std::memory_order_relaxed);
-            }
-            break;
-        }
-        ++thread.accessesDone;
-
-        Addr vaddr = nextAddress(thread);
-        std::optional<mem::Translation> t =
-            pageTable_->peek(thread.ctx, vaddr);
-        if (!t) {
-            // Unallocated region: no L1 array can hold a page of a
-            // region that does not exist yet, so this is a guaranteed
-            // miss -- but the allocation mutates shared page-table
-            // state, so the whole access (allocation, probe, counting)
-            // replays in the serial phase.
-            deferred_->post(
-                shard, DeferredMiss{
-                           now,
-                           static_cast<std::uint32_t>(thread_index),
-                           vaddr, false});
-            break;
-        }
-
-        ++lane.l1Accesses;
-        if (!l1s_[thread.core]->lookupHit(
-                thread.ctx, pageNumber(vaddr, t->size), t->size)) {
-            ++lane.l1Misses;
-            deferred_->post(
-                shard, DeferredMiss{
-                           now,
-                           static_cast<std::uint32_t>(thread_index),
-                           vaddr, true});
-            break;
-        }
-
-        // Hit-class histogram zeros fold from the lane counters at the
-        // window boundary; only the per-ctx split needs counting here
-        // (lane-local, single writer, reset at every fold).
-        if (!lane.hitsByCtx.empty())
-            ++lane.hitsByCtx[thread.ctx];
-
-        // L1 hit: run on inline while the shard queue is quiet up to
-        // the next access, clamped to the window end (past it, the
-        // serial phase may owe this queue a resumption this
-        // quiescence scan cannot see).
-        Cycle next = now + burstCycles(thread);
-        if (next > windowEnd_ || q.firstBusyCycle(next) != invalidCycle) {
-            q.schedule(&stepEvents_[thread_index], next);
-            break;
-        }
-        q.advanceTo(next);
-        now = next;
-    }
-}
-
-void
-System::replayMiss(const DeferredMiss &miss, const core::ProbeResult *probe)
-{
-    auto thread_index = static_cast<std::size_t>(miss.thread);
-    HwThread &thread = threads_[thread_index];
-    Cycle now = miss.cycle;
-    Addr vaddr = miss.vaddr;
-
-    if (!miss.probed)
-        probeFirstTouch(thread, vaddr);
-
-    TRACE(System, "thread ", thread_index, " core ", thread.core,
-          " L1 miss vaddr 0x", std::hex, vaddr, std::dec);
-    core::TranslationDone done =
-        [this, thread_index, vaddr,
-         now](const core::TranslationResult &result) {
-            HwThread &th = threads_[thread_index];
-            recordMissLatency(thread_index, result, now);
-            if (sim::recording())
-                sim::recorder().span(
-                    sim::Lane::Translation, th.core,
-                    result.walked        ? "translation (walk)"
-                        : result.l2Hit   ? "translation (L2 hit)"
-                                         : "translation",
-                    now, result.completedAt, vaddr, thread_index,
-                    "vaddr", "thread");
-            l1s_[th.core]->insert(result.entry);
-            Cycle resume = std::max(result.completedAt,
-                                    queue_.curCycle());
-            pendingResumes_.push_back(
-                PendingResume{thread_index, resume + burstCycles(th)});
-        };
-    if (probe)
-        org_->translateWithProbe(thread.core, thread.ctx, vaddr, now,
-                                 std::move(done), *probe);
-    else
-        org_->translate(thread.core, thread.ctx, vaddr, now,
-                        std::move(done));
-}
-
-void
 System::recordMissLatency(std::size_t thread_index,
                           const core::TranslationResult &result,
                           Cycle issued)
@@ -731,10 +586,7 @@ System::recordMissLatency(std::size_t thread_index,
 void
 System::sampleCounters(Cycle at)
 {
-    std::size_t depth = queue_.size();
-    for (const auto &q : shardQueues_)
-        depth += q->size();
-    sim::recorder().counter(0, "event queue depth", at, depth);
+    sim::recorder().counter(0, "event queue depth", at, queue_.size());
     sim::recorder().counter(1, "in-flight L2 misses", at,
                             org_->outstandingAccesses());
     if (counterFabric_)
@@ -745,7 +597,7 @@ System::sampleCounters(Cycle at)
 void
 System::installCounterEvent()
 {
-    if (split_ || config_.counterInterval == 0 || !sim::recording())
+    if (config_.counterInterval == 0 || !sim::recording())
         return;
     // lastPriority: the sample sees every event of its cycle.
     Cycle when = queue_.curCycle() + config_.counterInterval;
@@ -765,7 +617,7 @@ System::installCounterEvent()
 void
 System::installProgressEvent()
 {
-    if (!progress_ || split_)
+    if (!progress_)
         return;
     // Check the wall clock every few thousand cycles: frequent enough
     // that any human-scale period is honoured, rare enough that the
@@ -818,336 +670,16 @@ System::maybeProgress(bool force)
     const std::uint64_t faults = counterFabric_
         ? static_cast<std::uint64_t>(counterFabric_->faultsInjected.value())
         : 0;
-    double busy = 0.0;
-    if (split_ && timing_.stepWallNanos > 0 && !lanes_.empty()) {
-        // Lanes hold the live per-shard busy nanos mid-run; they fold
-        // into timing_.stepBusyNanos only when the engine finishes.
-        std::uint64_t busy_nanos = timing_.stepBusyNanos;
-        for (const ShardLane &lane : lanes_)
-            busy_nanos += lane.stepNanos;
-        busy = 100.0 * static_cast<double>(busy_nanos) /
-               (static_cast<double>(timing_.stepWallNanos) *
-                static_cast<double>(lanes_.size()));
-    }
-
     std::fprintf(stderr,
                  "[progress] cycle %llu | %.2fM cyc/s | %.2fM acc/s | "
-                 "%.1f%% of quota | ~%.0fs left | faults %llu | "
-                 "shard busy %.0f%%\n",
+                 "%.1f%% of quota | ~%.0fs left | faults %llu\n",
                  static_cast<unsigned long long>(cycle), cyc_rate * 1e-6,
                  acc_rate * 1e-6, pct, eta,
-                 static_cast<unsigned long long>(faults), busy);
+                 static_cast<unsigned long long>(faults));
 
     progress_->lastEmit = wall;
     progress_->lastCycle = cycle;
     progress_->lastAccesses = accesses;
-}
-
-void
-System::flushParkEvents()
-{
-    std::vector<ParkEvent> events;
-    {
-        std::lock_guard<std::mutex> lock(parkMutex_);
-        events.swap(parkEvents_);
-    }
-    for (const ParkEvent &e : events)
-        sim::recorder().instant(sim::Lane::Shard, 8 + e.shard,
-                                e.parked ? "crew park" : "crew wake",
-                                e.at, e.shard, 0, "shard", nullptr);
-}
-
-namespace
-{
-
-std::uint64_t
-nanosSince(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
-} // namespace
-
-void
-System::driveSharded()
-{
-    using clock = std::chrono::steady_clock;
-
-    // Conservative lookahead: no organization completion for a miss
-    // issued at cycle c can land before c + lead, so a window covering
-    // [T, T + lead - 1] can run every shard's step events in parallel
-    // without observing any serial-phase effect out of order (proof in
-    // DESIGN.md, "conservative lookahead"). The cross-shard bound
-    // minUncoreLead() (earliest home-array mutation) can only be
-    // longer; taking the min keeps the window length provably safe for
-    // both phases without ever shrinking it in practice.
-    const Cycle lead = std::max<Cycle>(
-        1, std::min(org_->minCompletionLead(), org_->minUncoreLead()));
-    const auto shards = static_cast<unsigned>(shardQueues_.size());
-    // Crew park/wake instants, only wired while a recorder is live:
-    // the hook runs on worker threads, so it appends to a locked
-    // buffer that the caller thread drains at window boundaries.
-    sim::ShardCrew::ParkHook park_hook;
-    if (sim::recording())
-        park_hook = [this](unsigned shard, bool parked) {
-            const Cycle at = windowEndHint_.load(std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(parkMutex_);
-            parkEvents_.push_back(ParkEvent{shard, parked, at});
-        };
-    // Worker threads only pay off when each shard can own a CPU; on a
-    // smaller host the crew runs the (identical) windows serially.
-    // Held indirectly so the final flushParkEvents() below can run
-    // after destruction, catching the shutdown wake instants.
-    auto crew_holder = std::make_unique<sim::ShardCrew>(
-        shards, std::thread::hardware_concurrency() >= shards,
-        std::move(park_hook));
-    sim::ShardCrew &crew = *crew_holder;
-    sim::ShardCrew::WindowFn window_fn = [this](unsigned shard) {
-        auto t0 = clock::now();
-        EventQueue &q = *shardQueues_[shard];
-        if (!q.empty() && q.nextEventCycle() <= windowEnd_)
-            q.run(windowEnd_);
-        lanes_[shard].stepNanos += nanosSince(t0);
-    };
-
-    // Parallel pre-probe (phase B1): the home-array lookups of this
-    // window's deferred misses run on the shard crew, each array
-    // owned by exactly one shard, before the serial phase replays
-    // them. Safe only when no home array can be mutated inside the
-    // window (minUncoreLead() > lead puts every walk fill / prefetch
-    // insert beyond the window end; main-queue events -- storms,
-    // shootdowns, earlier windows' fills -- sit at >= the window end
-    // by construction of E) and when no global ECC draw stream could
-    // observe the probe order. Misses at exactly the window end still
-    // probe live at replay: a same-cycle fill from an earlier window
-    // may be ordered ahead of them on the main queue.
-    const bool pre_probe_ok = org_->numHomeArrays() > 0 &&
-                              org_->minUncoreLead() > lead &&
-                              config_.org.faults.sliceEccProb <= 0;
-    if (pre_probe_ok && shardOfArray_.empty()) {
-        const std::uint64_t arrays = org_->numHomeArrays();
-        shardOfArray_.reserve(arrays);
-        for (std::uint64_t a = 0; a < arrays; ++a)
-            shardOfArray_.push_back(
-                static_cast<unsigned>(a * shards / arrays));
-    }
-    probePlan_.assign(shards, {});
-    sim::ShardCrew::WindowFn probe_fn = [this](unsigned shard) {
-        auto t0 = clock::now();
-        ShardLane &lane = lanes_[shard];
-        for (std::uint32_t i : probePlan_[shard]) {
-            const DeferredMiss &miss = replayBatch_[i];
-            const HwThread &thread = threads_[miss.thread];
-            probeResults_[i] = org_->probeHomeArray(
-                thread.core, thread.ctx, miss.vaddr);
-            probeTaken_[i] = 1;
-            ++lane.probes;
-        }
-        lane.probeNanos += nanosSince(t0);
-    };
-
-    for (;;) {
-        // Wake the threads resumed by the previous serial phase. The
-        // floor windowEnd_ + 1 sits above every shard clock; it
-        // provably never binds (completions land beyond the window
-        // that issued the miss), but keeps the no-past-schedule
-        // invariant local.
-        for (const PendingResume &resume : pendingResumes_)
-            shardQueues_[shardOfThread_[resume.thread]]->schedule(
-                &stepEvents_[resume.thread],
-                std::max(resume.when, windowEnd_ + 1));
-        pendingResumes_.clear();
-
-        Cycle steps = invalidCycle;
-        for (const auto &q : shardQueues_)
-            steps = std::min(steps, q->nextEventCycle());
-        Cycle uncore = queue_.nextEventCycle();
-        if (steps == invalidCycle && uncore == invalidCycle)
-            break;
-        Cycle end = steps == invalidCycle
-            ? uncore
-            : std::min(uncore, steps + lead - 1);
-        windowEnd_ = end;
-        ++timing_.windows;
-        windowEndHint_.store(end, std::memory_order_relaxed);
-
-        // Per-window observability: one recording() check per window
-        // (not per access), so all of this is free when off.
-        const bool rec = sim::recording();
-        const bool sample = rec && config_.counterInterval != 0 &&
-                            end >= nextCounterAt_;
-        unsigned busy_lanes = 0;
-        if (sample)
-            for (const auto &q : shardQueues_)
-                busy_lanes += !q->empty() &&
-                              q->nextEventCycle() <= end;
-
-        // Phase A: every shard runs its own step events through the
-        // window, in parallel, touching shard-owned state only.
-        if (steps <= end) {
-            auto wall0 = clock::now();
-            std::uint64_t own0 = lanes_[0].stepNanos;
-            crew.runWindow(window_fn);
-            std::uint64_t wall = nanosSince(wall0);
-            timing_.stepWallNanos += wall;
-            // Barrier wait = caller wall time beyond its own shard-0
-            // work; only meaningful when other shards ran elsewhere.
-            if (crew.parallel()) {
-                std::uint64_t own = lanes_[0].stepNanos - own0;
-                timing_.barrierNanos += wall > own ? wall - own : 0;
-            }
-            if (rec)
-                sim::recorder().span(sim::Lane::Shard, 0, "phase A",
-                                     steps, end);
-        }
-
-        auto drain0 = clock::now();
-
-        // Fold the shard lanes: integer sums first, one Scalar add
-        // each, so the accumulated doubles are bit-identical at every
-        // shard count (integral doubles below 2^53 add exactly).
-        std::uint64_t accesses = 0, misses = 0;
-        for (ShardLane &lane : lanes_) {
-            accesses += lane.l1Accesses;
-            misses += lane.l1Misses;
-            lane.l1Accesses = 0;
-            lane.l1Misses = 0;
-        }
-        l1Accesses_ += static_cast<double>(accesses);
-        l1Misses_ += static_cast<double>(misses);
-        energy_.addL1Lookups(accesses);
-
-        // L1 hits all have latency 0, so one bulk record per window
-        // reproduces the legacy per-access records exactly; both the
-        // bulk count and the per-ctx folds are sums of lane integers,
-        // hence shard-count invariant like every other Scalar.
-        if (latency_) {
-            latency_->l1Hit.record(0, accesses - misses);
-            for (std::size_t c = 0; c < latency_->byCtx.size(); ++c) {
-                std::uint64_t hits = 0;
-                for (ShardLane &lane : lanes_) {
-                    hits += lane.hitsByCtx[c];
-                    lane.hitsByCtx[c] = 0;
-                }
-                latency_->byCtx[c]->record(0, hits);
-            }
-        }
-
-        // Canonical replay: merge the deferred misses by (cycle,
-        // thread) -- an order independent of the shard partition --
-        // and inject each at its original cycle, ahead of the clock
-        // because every miss cycle lies in the current window.
-        std::size_t window_deferred = 0;
-        if (!deferred_->empty()) {
-            replayBatch_ = deferred_->drain([](const DeferredMiss &m) {
-                return std::make_pair(m.cycle, m.thread);
-            });
-            timing_.deferredMisses += replayBatch_.size();
-            window_deferred = replayBatch_.size();
-            probeResults_.assign(replayBatch_.size(), {});
-            probeTaken_.assign(replayBatch_.size(), 0);
-
-            // Phase B1: partition the eligible probes by home array
-            // (each shard's list stays in canonical order because the
-            // batch is sorted) and run them on the crew.
-            if (pre_probe_ok) {
-                bool any = false;
-                for (std::uint32_t i = 0;
-                     i < static_cast<std::uint32_t>(replayBatch_.size());
-                     ++i) {
-                    const DeferredMiss &miss = replayBatch_[i];
-                    if (!miss.probed || miss.cycle >= end)
-                        continue;
-                    const HwThread &thread = threads_[miss.thread];
-                    unsigned array =
-                        org_->homeArrayOf(thread.core, miss.vaddr);
-                    probePlan_[shardOfArray_[array]].push_back(i);
-                    any = true;
-                }
-                if (any) {
-                    auto wall0 = clock::now();
-                    std::uint64_t own0 = lanes_[0].probeNanos;
-                    crew.runWindow(probe_fn);
-                    std::uint64_t wall = nanosSince(wall0);
-                    timing_.probeWallNanos += wall;
-                    if (crew.parallel()) {
-                        std::uint64_t own = lanes_[0].probeNanos - own0;
-                        timing_.barrierNanos +=
-                            wall > own ? wall - own : 0;
-                    }
-                    for (auto &plan : probePlan_)
-                        plan.clear();
-                    if (rec)
-                        sim::recorder().span(
-                            sim::Lane::Shard, 1, "phase B1 pre-probe",
-                            replayBatch_.front().cycle, end);
-                }
-            }
-
-            for (std::uint32_t i = 0;
-                 i < static_cast<std::uint32_t>(replayBatch_.size());
-                 ++i) {
-                const DeferredMiss miss = replayBatch_[i];
-                if (probeTaken_[i]) {
-                    const core::ProbeResult probe = probeResults_[i];
-                    queue_.scheduleLambda(
-                        miss.cycle, [this, miss, probe] {
-                            replayMiss(miss, &probe);
-                        });
-                } else {
-                    queue_.scheduleLambda(
-                        miss.cycle, [this, miss] { replayMiss(miss); });
-                }
-            }
-        }
-        timing_.drainNanos += nanosSince(drain0);
-
-        // Counter samples stamp the window end, which is non-
-        // decreasing across windows, so every counter track's
-        // timestamps stay monotonic for the Perfetto importer.
-        if (sample) {
-            nextCounterAt_ = end + config_.counterInterval;
-            sampleCounters(end);
-            sim::recorder().counter(
-                3, "window width E", end,
-                steps == invalidCycle ? 0 : end - steps + 1);
-            sim::recorder().counter(4, "busy shard lanes", end,
-                                    busy_lanes);
-            sim::recorder().counter(5, "deferred misses", end,
-                                    window_deferred);
-        }
-
-        // Phase B: the uncore (organization, fabric, walkers, caches,
-        // storm / context-switch / epoch machinery) runs serially
-        // through the same window.
-        auto uncore0 = clock::now();
-        Cycle b2_start = std::min(queue_.curCycle(), end);
-        queue_.run(end);
-        timing_.uncoreNanos += nanosSince(uncore0);
-        if (rec) {
-            sim::recorder().span(sim::Lane::Shard, 2,
-                                 "phase B2 uncore", b2_start, end);
-            flushParkEvents();
-        }
-        if (progress_)
-            maybeProgress();
-    }
-
-    crew_holder.reset();
-    if (sim::recording())
-        flushParkEvents();
-
-    for (ShardLane &lane : lanes_) {
-        timing_.stepBusyNanos += lane.stepNanos;
-        timing_.probeBusyNanos += lane.probeNanos;
-        timing_.preProbes += lane.probes;
-        lane = ShardLane{};
-        if (latency_ && !latency_->byCtx.empty())
-            lane.hitsByCtx.assign(config_.apps.size(), 0);
-    }
 }
 
 void
@@ -1496,10 +1028,6 @@ System::fastForward(std::uint64_t accesses)
 void
 System::drive()
 {
-    if (split_) {
-        driveSharded();
-        return;
-    }
     queue_.run();
     // A thread that ran ahead retired without an event at its finish
     // cycle; the clock still ends where that event would have left it.
@@ -1522,7 +1050,6 @@ System::beginRun(std::uint64_t total_quota)
         progress_->lastEmit = progress_->start;
         progress_->totalQuota = total_quota;
     }
-    nextCounterAt_ = 0;
     installCounterEvent();
     installProgressEvent();
 }
@@ -1532,9 +1059,9 @@ System::configFingerprint() const
 {
     // Every configuration field that shapes the functional state a
     // checkpoint carries: array geometry, stream seeds, the workload
-    // layout. Deliberately excludes pure wall-clock / timing knobs
-    // (shards, latencies, stats options), so a checkpoint taken at a
-    // quiescent boundary restores across engine choices.
+    // layout. Deliberately excludes pure timing knobs (latencies,
+    // stats options), so a checkpoint taken at a quiescent boundary
+    // restores under any of them.
     std::vector<std::uint64_t> words;
     auto put = [&words](std::uint64_t v) { words.push_back(v); };
     auto putD = [&put](double v) {

@@ -91,15 +91,6 @@ PageTable::translate(ContextId ctx, Addr vaddr)
 }
 
 std::optional<Translation>
-PageTable::peek(ContextId ctx, Addr vaddr) const
-{
-    const std::uint32_t *index = regionIndex_.find(regionKey(ctx, vaddr));
-    if (!index)
-        return std::nullopt;
-    return translationOf(regionPool_[*index], vaddr);
-}
-
-std::optional<Translation>
 PageTable::peekMemo(ContextId ctx, Addr vaddr)
 {
     RegionKey key = regionKey(ctx, vaddr);

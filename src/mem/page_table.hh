@@ -81,21 +81,11 @@ class PageTable
     Translation translate(ContextId ctx, Addr vaddr);
 
     /**
-     * Read-only translate: the same result as translate() when the
-     * region containing @p vaddr is already allocated, std::nullopt
-     * otherwise. Never allocates and never touches the memo, so
-     * concurrent peek() calls are safe while no thread mutates the
-     * table -- the sharded engine's parallel phase relies on exactly
-     * that (an unallocated region also proves the access cannot be an
-     * L1 TLB hit, so the shard can defer it without resolving it).
-     */
-    std::optional<Translation> peek(ContextId ctx, Addr vaddr) const;
-
-    /**
-     * peek() through the region memo: a memo hit skips the index
-     * probe, and a region found in the index refills the memo as
-     * translate() would. Never allocates. The detailed engine's
-     * run-ahead probes every access past the first this way.
+     * Non-allocating translate: the same result as translate() when
+     * the region containing @p vaddr is already allocated,
+     * std::nullopt otherwise. A memo hit skips the index probe, and a
+     * region found in the index refills the memo as translate() would.
+     * The run-ahead probes every access past the first this way.
      */
     std::optional<Translation> peekMemo(ContextId ctx, Addr vaddr);
 

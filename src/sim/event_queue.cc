@@ -158,17 +158,6 @@ EventQueue::nextEventCycle() const
     return next;
 }
 
-Cycle
-EventQueue::firstBusyCycle(Cycle when) const
-{
-    // nextEventCycle() is exactly "earliest cycle with any pending
-    // record, live or stale": the occupancy bitmap is maintained
-    // precisely and the overflow head bounds everything beyond the
-    // horizon. Clip it to the queried window.
-    Cycle busy = nextEventCycle();
-    return busy <= when ? busy : invalidCycle;
-}
-
 void
 EventQueue::foldOverflow()
 {
@@ -235,8 +224,7 @@ EventQueue::processCycle(Cycle cycle)
         --wheelCount_;
         if (cursor == bucket.size()) {
             // Drain the bucket *before* dispatching its last record:
-            // handlers (and the window engine's shard-local hit
-            // streaks) observe precise occupancy for this cycle.
+            // handlers observe precise occupancy for this cycle.
             bucket.clear();
             cursor = 0;
             sorted = 0;

@@ -166,24 +166,11 @@ class EventQueue
                        std::uint32_t tie);
 
     /**
-     * Earliest cycle in [curCycle(), @p when] holding any pending
-     * record (live or stale), or invalidCycle when that whole span is
-     * quiet. The shard window loop uses this so a broken quiescence
-     * check reports *which* cycle broke it and execution can resume
-     * there rather than re-scanning from curCycle(). Exact even when
-     * @p when lies beyond the wheel horizon: every wheel record is
-     * within the horizon by construction and the overflow heap's head
-     * covers the rest.
-     */
-    Cycle firstBusyCycle(Cycle when) const;
-
-    /**
      * Advance the clock to @p when without processing anything.
      * Precondition: no pending record sits strictly before @p when
-     * (e.g. firstBusyCycle(when) found none); violating it would
-     * strand wheel records behind the clock. Used by fast-forward and
-     * checkpoint restore (empty queue) and by the window engine's
-     * shard-local hit streaks.
+     * (nextEventCycle() >= when); violating it would strand wheel
+     * records behind the clock. Used by fast-forward, checkpoint
+     * restore (empty queue) and the end of a drained run.
      */
     void
     advanceTo(Cycle when)

@@ -9,11 +9,11 @@
  * the values it holds, bounding the relative error of any reported
  * percentile at 2^-6 ~ 1.6 % (< the 2 % budget). record() is O(1) --
  * one bit-scan and one array increment -- and merge() is a bucket-wise
- * integer add, so it is commutative and associative: per-shard or
- * per-lane instances fold into one canonical result regardless of how
+ * integer add, so it is commutative and associative: per-thread or
+ * per-run instances fold into one canonical result regardless of how
  * the recording work was partitioned. All state is integral (counts
  * and sums, never running doubles), which is what makes the fold
- * deterministic at every shard count.
+ * deterministic.
  *
  * `sim::LatencyHistogram` is the plain value type; `stats::Histogram`
  * wraps one as a Stat so percentile stats appear in dumpAll() listings

@@ -5,7 +5,6 @@
 
 #include "sim/parallel.hh"
 
-#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -23,16 +22,6 @@ defaultJobs()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-unsigned
-autoShards(unsigned tiles, unsigned jobs)
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    unsigned budget = std::max(1u, hw / std::max(1u, jobs));
-    return std::max(1u, std::min(tiles, budget));
 }
 
 ThreadPool::ThreadPool(unsigned threads)

@@ -42,17 +42,6 @@ namespace nocstar::sim
 unsigned defaultJobs();
 
 /**
- * Deterministic shard count for `--shards auto`: one shard per
- * hardware thread left over after @p jobs sweep workers claim theirs
- * (the same jobs x shards <= cores product rule the oversubscription
- * clamp enforces from the other side), capped at @p tiles (a shard
- * needs at least one core's step stream to be useful) and floored at
- * 1 (the window engine's serial exactness baseline). Results are
- * shard-count-invariant, so this only ever tunes wall-clock.
- */
-unsigned autoShards(unsigned tiles, unsigned jobs = 1);
-
-/**
  * A fixed-size thread pool. Workers are spawned on construction and
  * joined on destruction; tasks are run in submission order but
  * complete in any order.

@@ -36,7 +36,6 @@ enum class Lane : std::uint8_t
     Link,        ///< fabric link hold spans
     Message,     ///< fabric message setup/traversal and denials
     Counter,     ///< sampled counter tracks (queue depth, misses, ...)
-    Shard,       ///< shard-engine window phases and crew park/wake
     NumLanes,
 };
 

@@ -2,9 +2,9 @@
  * @file
  * Checkpoint/restore and sampled-simulation tests: restore-then-resume
  * must be RunResult-identical to a straight-through run for every
- * organization and shard count, damaged checkpoint files must be
- * rejected with structured errors, and sampled runs must be
- * deterministic at a fixed seed.
+ * organization, damaged checkpoint files must be rejected with
+ * structured errors, and sampled runs must be deterministic at a
+ * fixed seed.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@ namespace
 {
 
 SystemConfig
-smallConfig(core::OrgKind kind, unsigned cores = 8, unsigned shards = 0)
+smallConfig(core::OrgKind kind, unsigned cores = 8)
 {
     SystemConfig config;
     config.org.kind = kind;
@@ -36,7 +36,6 @@ smallConfig(core::OrgKind kind, unsigned cores = 8, unsigned shards = 0)
         config.apps.push_back(std::move(app_config));
     }
     config.seed = 7;
-    config.shards = shards;
     return config;
 }
 
@@ -139,33 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
                       core::OrgKind::IdealShared,
                       core::OrgKind::Nocstar,
                       core::OrgKind::NocstarIdeal));
-
-TEST(Checkpoint, RoundTripAcrossShardCounts)
-{
-    // The fingerprint deliberately excludes the shard count (a pure
-    // wall-clock knob): a checkpoint taken under any engine restores
-    // under any other, reproducing that engine's own straight-through
-    // result exactly.
-    const std::string path = ckptPath("shards");
-    for (unsigned save_shards : {0u, 1u, 4u}) {
-        SystemConfig save_config =
-            smallConfig(core::OrgKind::Nocstar, 8, save_shards);
-        save_config.checkpointSavePath = path;
-        System(save_config).run(2000);
-        for (unsigned run_shards : {0u, 1u, 4u}) {
-            RunResult plain =
-                System(smallConfig(core::OrgKind::Nocstar, 8,
-                                   run_shards))
-                    .run(2000);
-            SystemConfig restore_config =
-                smallConfig(core::OrgKind::Nocstar, 8, run_shards);
-            restore_config.checkpointRestorePath = path;
-            RunResult restored = System(restore_config).run(2000);
-            expectSameResult(restored, plain);
-        }
-    }
-    std::remove(path.c_str());
-}
 
 TEST(Checkpoint, MissingFileIsFatal)
 {

@@ -5,10 +5,10 @@
  * RunResult identity across every organization), and the hierarchical
  * crossbar-of-clusters fabric must degenerate correctly at both ends
  * of its cluster-size range (whole-chip cluster = pure crossbar,
- * 1x1 clusters = the flat mesh), stay shard-count invariant, and
- * route around dead inter-cluster links. Messages build their
- * continuation once, recycle through the fabric's pool and are
- * released cleanly when a fabric or system is torn down mid-flight.
+ * 1x1 clusters = the flat mesh) and route around dead inter-cluster
+ * links. Messages build their continuation once, recycle through the
+ * fabric's pool and are released cleanly when a fabric or system is
+ * torn down mid-flight.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "core/interconnect.hh"
 #include "core/nocstar_org.hh"
 #include "cpu/system.hh"
-#include "sim/parallel.hh"
 #include "sim/fault.hh"
 #include "sim/random.hh"
 
@@ -388,28 +387,6 @@ TEST(HierFabric, RoutesAroundDeadInterClusterLink)
 // ---------------------------------------------------------------------
 // Hierarchical fabric: whole-system invariances.
 // ---------------------------------------------------------------------
-
-TEST(HierFabric, SystemResultsAreShardCountInvariant)
-{
-    auto runWith = [](unsigned shards) {
-        cpu::SystemConfig config = paperConfig(core::OrgKind::Nocstar,
-                                               64);
-        config.org.fabricKind = core::FabricKind::Hierarchical;
-        config.shards = shards;
-        cpu::System system(config);
-        return system.run(1000);
-    };
-    cpu::RunResult one = runWith(1);
-    cpu::RunResult four = runWith(4);
-    cpu::RunResult autoN = runWith(sim::autoShards(64));
-    for (const cpu::RunResult *r : {&four, &autoN}) {
-        EXPECT_EQ(r->cycles, one.cycles);
-        EXPECT_DOUBLE_EQ(r->meanCycles, one.meanCycles);
-        EXPECT_EQ(r->l2Hits, one.l2Hits);
-        EXPECT_EQ(r->l2Misses, one.l2Misses);
-        EXPECT_EQ(r->walks, one.walks);
-    }
-}
 
 TEST(HierFabric, ClusterLocalSliceMappingRunsAndStaysInCluster)
 {

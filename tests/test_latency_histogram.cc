@@ -107,9 +107,9 @@ TEST(LatencyHistogramTest, MergeIsOrderAndPartitionInvariant)
     for (int round = 0; round < 8; ++round) {
         // Random partition into a random number of parts.
         const std::size_t parts = 1 + rng() % 9;
-        std::vector<LatencyHistogram> shards(parts);
+        std::vector<LatencyHistogram> pieces(parts);
         for (std::uint64_t v : values)
-            shards[rng() % parts].record(v);
+            pieces[rng() % parts].record(v);
 
         // Fold in a random order.
         std::vector<std::size_t> order(parts);
@@ -118,7 +118,7 @@ TEST(LatencyHistogramTest, MergeIsOrderAndPartitionInvariant)
         std::shuffle(order.begin(), order.end(), rng);
         LatencyHistogram merged;
         for (std::size_t i : order)
-            merged.merge(shards[i]);
+            merged.merge(pieces[i]);
 
         EXPECT_TRUE(merged == reference) << "round " << round;
         for (double q : {0.5, 0.99})
